@@ -32,6 +32,9 @@ __all__ = ["parse", "execute", "main"]
 _SWEEP_COLUMNS = "omega,beta,re_t,im_t,abs_t,arg_t,group_delay,singular"
 _SINGULARITY_COLUMNS = "omega,beta,residual_abs_t"
 
+# sweep rows formatted per template operation and per write
+_BATCH_ROWS = 4096
+
 _DEG = math.pi / 180.0
 _BASIS_LABELS = ("V", "H", "D45", "A135")
 _MISSING = object()
@@ -364,14 +367,31 @@ def _command_line(plan):
     return "weaklight " + " ".join(plan.tokens)
 
 
-def _sample_row(s, arg_text=None):
-    if arg_text is None:
-        arg_text = _fmt(s.arg_t)
-    gd = "" if s.group_delay is None else _fmt(s.group_delay)
-    return ",".join([
-        _fmt(s.omega), _fmt(s.beta), _fmt(s.t.real), _fmt(s.t.imag),
-        _fmt(s.abs_t), arg_text, gd, "true" if s.singular else "false",
-    ])
+def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
+    """A sweep CSV as text chunks: the header, then rows in fixed-size batches.
+
+    Each batch is one ``%`` operation on a ``%.17g`` template, which formats
+    exactly like ``format(x, ".17g")``.  ``arg_t`` replaces the table's
+    column of that name; on singular rows the fields indexed by ``blank``
+    are left empty.
+    """
+    yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
+    columns = (table.omega, table.beta, table.re_t, table.im_t, table.abs_t,
+               table.arg_t if arg_t is None else arg_t, table.group_delay)
+    ok = "%.17g," * len(columns) + "false\n"
+    sing = "".join("," if k in blank else "%.17g," for k in range(len(columns))) + "true\n"
+    n = table.singular.shape[0]
+    for start in range(0, n, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, n)
+        values = np.column_stack([c[start:stop] for c in columns])
+        flags = table.singular[start:stop]
+        if not flags.any():
+            yield (ok * (stop - start)) % tuple(values.ravel().tolist())
+            continue
+        keep = np.ones(values.shape, dtype=bool)
+        keep[np.ix_(flags, blank)] = False
+        template = "".join([sing if f else ok for f in flags.tolist()])
+        yield template % tuple(values[keep].tolist())
 
 
 def _json_value(obj):
@@ -405,40 +425,41 @@ def _csv_document(plan, columns, rows):
 
 
 def _render(plan):
+    """Compute a plan's results; returns the output as an iterable of text chunks.
+
+    Everything that can fail runs here, before the caller opens the output,
+    so a failed run writes nothing; sweep rows are formatted lazily as the
+    chunks are consumed.
+    """
     model, pair = plan.model, plan.pair
 
     if plan.subcommand == "contour":
-        grid = contour_grid(model, plan.omega_grid, plan.beta_grid, pair)
-        rows = [_sample_row(s) for row in grid for s in row]
-        return _csv_document(plan, _SWEEP_COLUMNS, rows)
+        return _sweep_chunks(plan, contour_grid(model, plan.omega_grid, plan.beta_grid, pair))
 
     if plan.subcommand == "spectrum":
         spectrum = phase_spectrum(model, plan.beta, pair, plan.omega_grid)
-        samples = [row[0] for row in
-                   contour_grid(model, plan.omega_grid, [plan.beta], pair)]
-        rows = [
-            _sample_row(s, arg_text="" if s.singular else _fmt(spectrum.phase[i]))
-            for i, s in enumerate(samples)
-        ]
-        return _csv_document(plan, _SWEEP_COLUMNS, rows)
+        if spectrum.undersampled:
+            print("weaklight: warning: an unwrapped phase step reached 0.9*pi; "
+                  "the --omega grid may be too coarse for a faithful unwrap",
+                  file=sys.stderr)
+        table = contour_grid(model, plan.omega_grid, [plan.beta], pair)
+        return _sweep_chunks(plan, table, arg_t=spectrum.phase, blank=(5, 6))
 
     if plan.subcommand == "angle-sweep":
-        samples = sweep_angle(model, plan.omega, plan.beta_grid, pair)
-        return _csv_document(plan, _SWEEP_COLUMNS,
-                             [_sample_row(s) for s in samples])
+        return _sweep_chunks(plan, sweep_angle(model, plan.omega, plan.beta_grid, pair))
 
     if plan.subcommand == "singularities":
         hits = find_singularities(model, plan.omega_interval, plan.beta_interval,
                                   pair, scan=plan.scan, tol=plan.tol)
         rows = [",".join([_fmt(s.omega), _fmt(s.beta), _fmt(s.residual_abs_t)])
                 for s in hits]
-        return _csv_document(plan, _SINGULARITY_COLUMNS, rows)
+        return [_csv_document(plan, _SINGULARITY_COLUMNS, rows)]
 
     if plan.subcommand == "estimate-beta":
         beta = estimate_beta(model, plan.omega, pair, plan.tau, plan.bracket)
         if plan.fmt == "json":
-            return _json_document({"command": _command_line(plan), "beta": beta})
-        return _csv_document(plan, "beta", [_fmt(beta)])
+            return [_json_document({"command": _command_line(plan), "beta": beta})]
+        return [_csv_document(plan, "beta", [_fmt(beta)])]
 
     if plan.subcommand == "pulse":
         grid = SpectralGrid(plan.samples, plan.omega, plan.span)
@@ -469,23 +490,23 @@ def _render(plan):
             "input_intensity": in_intensity,
             "output_intensity": out_intensity,
         }
-        return _json_document(doc)
+        return [_json_document(doc)]
 
     raise ValueError(f"unknown subcommand {plan.subcommand!r}")
 
 
-def _write_text(path, text):
+def _write(path, chunks):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def execute(plan):
     """Run a plan and write its output; returns the process exit status."""
     try:
-        text = _render(plan)
+        chunks = _render(plan)
     except PostselectionNull as exc:
         print(f"weaklight: null postselection: {exc}", file=sys.stderr)
         return 3
@@ -493,7 +514,7 @@ def execute(plan):
         print(f"weaklight: error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_text(plan.output, text)
+        _write(plan.output, chunks)
     except OSError as exc:
         print(f"weaklight: i/o error: {exc}", file=sys.stderr)
         return 1

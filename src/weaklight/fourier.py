@@ -19,23 +19,21 @@ from . import backends
 __all__ = ["dft_forward", "dft_inverse"]
 
 
-@lru_cache(maxsize=None)
+# pulse runs use a handful of sizes; the bound keeps a long-lived process
+# that sweeps many sizes from holding every table it ever built
+_TABLES_CACHED = 8
+
+
+@lru_cache(maxsize=_TABLES_CACHED)
 def _tables(n):
     bits = n.bit_length() - 1
+    index = np.arange(n, dtype=np.intp)
     perm = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        perm[i] = r
-    tw_re = np.empty(n // 2)
-    tw_im = np.empty(n // 2)
-    for k in range(n // 2):
-        ang = -2.0 * math.pi * k / n
-        tw_re[k] = math.cos(ang)
-        tw_im[k] = math.sin(ang)
+    for b in range(bits):
+        perm |= ((index >> b) & 1) << (bits - 1 - b)
+    angles = [-2.0 * math.pi * k / n for k in range(n // 2)]
+    tw_re = np.fromiter(map(math.cos, angles), float, n // 2)
+    tw_im = np.fromiter(map(math.sin, angles), float, n // 2)
     for arr in (perm, tw_re, tw_im):
         arr.setflags(write=False)
     return perm, tw_re, tw_im

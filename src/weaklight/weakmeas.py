@@ -15,6 +15,7 @@ makes two-dimensional unwrapping ill-defined.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "NUMERIC_H",
     "SelectionPair",
     "TransferSample",
+    "SampleTable",
     "Singularity",
     "PhaseSpectrum",
     "selection",
@@ -173,28 +175,15 @@ def _cos_sin_table(values):
     # libm cos/sin per element, matching the scalar path bitwise; numpy's
     # vectorized trig may differ in the last ulp, so it is avoided here.
     n = values.shape[0]
-    cos_arr = np.empty(n)
-    sin_arr = np.empty(n)
-    for i in range(n):
-        x = values[i]
-        cos_arr[i] = math.cos(x)
-        sin_arr[i] = math.sin(x)
-    return cos_arr, sin_arr
+    items = values.tolist()
+    return (np.fromiter(map(math.cos, items), float, n),
+            np.fromiter(map(math.sin, items), float, n))
 
 
 def _beta_weights(betas, pair):
-    nb = betas.shape[0]
-    p1re = np.empty(nb)
-    p1im = np.empty(nb)
-    p2re = np.empty(nb)
-    p2im = np.empty(nb)
-    for i in range(nb):
-        p1, p2 = _weights(betas[i], pair)
-        p1re[i] = p1.real
-        p1im[i] = p1.imag
-        p2re[i] = p2.real
-        p2im[i] = p2.imag
-    return p1re, p1im, p2re, p2im
+    p1, p2 = np.array([_weights(b, pair) for b in betas.tolist()], dtype=complex).T
+    return (np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag),
+            np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag))
 
 
 def _grids(model, omegas, betas, pair, with_delay=False):
@@ -357,43 +346,85 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
     raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'numeric'")
 
 
-def _sample(omega, beta, tre, tim, nre, nim):
-    abs_t = math.sqrt(tre * tre + tim * tim)
-    arg_t = math.atan2(tim, tre)
-    if abs_t < SINGULAR_TOL:
-        gd = None
-        singular = True
-    else:
-        den = tre * tre + tim * tim
+_COLUMNS = ("omega", "beta", "re_t", "im_t", "abs_t", "arg_t", "group_delay", "singular")
+
+
+class SampleTable(Sequence):
+    """Read-only sweep samples held as columns; items are TransferSamples.
+
+    Each column is a flat read-only array in row-major order over ``shape``:
+    ``omega``, ``beta``, ``re_t``, ``im_t``, ``abs_t``, ``arg_t`` and
+    ``group_delay`` (NaN where singular) as floats, ``singular`` as bools.
+    Indexing a one-dimensional table builds the TransferSample at that
+    position; indexing a two-dimensional table gives the table of one row,
+    and a slice gives a table of the selected rows.
+    """
+
+    __slots__ = ("shape",) + _COLUMNS
+
+    def __init__(self, shape, columns):
+        self.shape = tuple(shape)
+        for name in _COLUMNS:
+            col = columns[name]
+            col.setflags(write=False)
+            setattr(self, name, col)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            key = range(self.shape[0])[key]
+            if len(self.shape) == 1:
+                singular = bool(self.singular[key])
+                return TransferSample(float(self.omega[key]), float(self.beta[key]),
+                                      complex(self.re_t[key], self.im_t[key]),
+                                      float(self.abs_t[key]), float(self.arg_t[key]),
+                                      None if singular else float(self.group_delay[key]),
+                                      singular)
+        cols = {name: getattr(self, name).reshape(self.shape)[key] for name in _COLUMNS}
+        return SampleTable(cols["omega"].shape,
+                           {name: col.ravel() for name, col in cols.items()})
+
+
+def _sample_table(shape, omega, beta, tre, tim, nre, nim):
+    """Columns from flat T and weak-value numerator arrays.
+
+    The arithmetic follows the scalar path (weak_flight_value and the null
+    check) operation for operation, so every column matches it bitwise.
+    ``arg_t`` stays libm atan2 per element: numpy's arctan2 may differ from
+    it in the last ulp.
+    """
+    den = tre * tre + tim * tim
+    abs_t = np.sqrt(den)
+    singular = abs_t < SINGULAR_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
         gd = (nre * tre + nim * tim) / den
-        singular = False
-    return TransferSample(float(omega), float(beta), complex(tre, tim),
-                          abs_t, arg_t, gd, singular)
+    gd[singular] = math.nan
+    arg_t = np.fromiter(map(math.atan2, tim.tolist(), tre.tolist()), float, tre.shape[0])
+    return SampleTable(shape, {
+        "omega": omega, "beta": beta, "re_t": tre, "im_t": tim, "abs_t": abs_t,
+        "arg_t": arg_t, "group_delay": gd, "singular": singular})
 
 
 def sweep_angle(model, omega, betas, pair):
-    """One TransferSample per beta at fixed omega, in input order."""
-    betas = np.asarray(betas, dtype=float)
+    """Samples at fixed omega, one per beta in input order, as a SampleTable."""
+    betas = np.array(betas, dtype=float)
     tre, tim, nre, nim = _grids(model, np.array([float(omega)]), betas, pair,
                                 with_delay=True)
-    return [
-        _sample(omega, betas[i], tre[i, 0], tim[i, 0], nre[i, 0], nim[i, 0])
-        for i in range(betas.shape[0])
-    ]
+    n = betas.shape[0]
+    return _sample_table((n,), np.full(n, float(omega)), betas,
+                         tre.ravel(), tim.ravel(), nre.ravel(), nim.ravel())
 
 
 def contour_grid(model, omegas, betas, pair):
-    """Row-major grid of samples: grid[i][j] evaluated at (omegas[i], betas[j])."""
+    """Row-major SampleTable: grid[i][j] evaluated at (omegas[i], betas[j])."""
     omegas = np.asarray(omegas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     tre, tim, nre, nim = _grids(model, omegas, betas, pair, with_delay=True)
-    return [
-        [
-            _sample(omegas[i], betas[j], tre[j, i], tim[j, i], nre[j, i], nim[j, i])
-            for j in range(betas.shape[0])
-        ]
-        for i in range(omegas.shape[0])
-    ]
+    nw, nb = omegas.shape[0], betas.shape[0]
+    return _sample_table((nw, nb), np.repeat(omegas, nb), np.tile(betas, nw),
+                         *(a.T.ravel() for a in (tre, tim, nre, nim)))
 
 
 def _refine_zero(objective, w, b, step_w, step_b, bounds, tol):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +51,31 @@ class TestDft:
         rng = np.random.default_rng(74)
         z = rng.normal(size=512) + 1j * rng.normal(size=512)
         assert np.array_equal(dft_forward(z), dft_forward(z))
+
+    def test_tables_match_loop_reference(self):
+        for bits in range(1, 17):
+            n = 1 << bits
+            perm = np.zeros(n, dtype=np.intp)
+            for i in range(n):
+                r = 0
+                v = i
+                for _ in range(bits):
+                    r = (r << 1) | (v & 1)
+                    v >>= 1
+                perm[i] = r
+            tw_re = np.empty(n // 2)
+            tw_im = np.empty(n // 2)
+            for k in range(n // 2):
+                ang = -2.0 * math.pi * k / n
+                tw_re[k] = math.cos(ang)
+                tw_im[k] = math.sin(ang)
+            got = _tables(n)
+            assert got[0].dtype == np.intp and np.array_equal(got[0], perm)
+            assert got[1].tobytes() == tw_re.tobytes()
+            assert got[2].tobytes() == tw_im.tobytes()
+
+    def test_table_cache_is_bounded(self):
+        assert _tables.cache_parameters()["maxsize"] is not None
 
 
 @needs_compiled

@@ -144,6 +144,30 @@ class TestExecute:
         assert float(last[6]) == pytest.approx(10 * PI, abs=1e-9)
 
 
+    def test_undersampled_spectrum_warns_once(self, capsys):
+        # steps of 0.1 advance the TE phase by exactly pi per sample
+        plan = parse(["spectrum", "--omega", "0.1:0.9:9"])
+        assert execute(plan) == 0
+        out, err = capsys.readouterr()
+        assert err.count("warning") == 1 and "--omega" in err
+        assert out.startswith("# weaklight spectrum ") and len(out.splitlines()) == 11
+
+    def test_resolved_spectrum_is_silent(self, capsys):
+        assert execute(parse(["spectrum"])) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failed_sweep_writes_no_file(self, tmp_path):
+        csv = tmp_path / "disp.csv"
+        csv.write_text("omega,phi_te,phi_tm\n0,0,0\n2,4,2\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        null = parse(["spectrum", "--psi-f", "H", "-o", str(out)])
+        assert execute(null) == 3
+        outside = parse(["contour", "--dispersion-csv", str(csv),
+                         "--omega", "1:3:5", "-o", str(out)])
+        assert execute(outside) == 2
+        assert not out.exists()
+
+
 class TestProcessLevel:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["contour", "--omega", "0.8:1.2:21", "--beta", "0:3.14159:31"]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from weaklight import cli
 from weaklight.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,6 +55,14 @@ def run_case(name, out_dir):
 def test_golden_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_golden_bytes_across_batches(rows, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setattr(cli, "_BATCH_ROWS", rows)
+    for name in sorted(CASES):
+        assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes(), name
 
 
 def test_golden_cases_cover_singular_rows():
