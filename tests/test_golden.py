@@ -1,8 +1,8 @@
 """Committed golden outputs: every sweep subcommand must reproduce them byte for byte.
 
 Each case runs the CLI in-process from ``tests/golden`` (the header echoes
-``--dispersion-csv`` and ``--config`` paths as given, so they stay relative)
-and compares the bytes written to standard output or to ``-o`` with
+the ``--dispersion-csv`` path as given, so input paths stay relative) and
+compares the bytes written to standard output or to ``-o`` with
 ``tests/golden/<case>.csv``.  Regenerate after an intended format change with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from weaklight import cli
-from weaklight.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,11 +42,11 @@ def run_case(name, out_dir):
     argv, to_file = CASES[name]
     if to_file:
         out = Path(out_dir) / f"{name}.csv"
-        assert main(argv + ["-o", str(out)]) == 0
+        assert cli.main(argv + ["-o", str(out)]) == 0
         return out.read_bytes()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(argv) == 0
+        assert cli.main(argv) == 0
     return buf.getvalue().encode("utf-8")
 
 
