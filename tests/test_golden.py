@@ -1,10 +1,10 @@
-"""Committed golden outputs: every sweep subcommand must reproduce them byte for byte.
+"""Committed golden outputs: every subcommand must reproduce them byte for byte.
 
 Each case runs the CLI in-process from ``tests/golden`` (the header echoes
 the ``--dispersion-csv`` path as given, so input paths stay relative) and
 compares the bytes written to standard output or to ``-o`` with
-``tests/golden/<case>.csv``.  Regenerate after an intended format change with
-``PYTHONPATH=src python tests/test_golden.py``.
+``tests/golden/<case>.csv``, or ``<case>.json`` for JSON output.  Regenerate
+after an intended format change with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -35,13 +35,41 @@ CASES = {
                              "--beta", "0:3.141592653589793:9",
                              "--psi-in", "D45", "--psi-f", "A135"], True),
     "contour_config": (["contour", "--config", "config.json"], True),
+    # scan grids miss the zeros, so the compass search refines both
+    "singularities_degrees": (["singularities", "--omega", "0.5:1.5",
+                               "--beta", "10:170", "--degrees", "--scan", "61"], False),
+    # the zeros sit on the knot omega = 1 of the PCHIP table
+    "singularities_tabulated": (["singularities", "--dispersion-csv", "disp.csv",
+                                 "--omega", "0.55:1.45", "--beta", "0.1:3",
+                                 "--scan", "40"], True),
+    "estimate_beta_linear": (["estimate-beta", "--omega", "1", "--tau", "54.86",
+                              "--bracket", "0.6:0.78"], False),
+    "estimate_beta_linear_json": (["estimate-beta", "--omega", "1", "--tau", "24.76",
+                                   "--bracket", "0.82:1.25", "--format", "json"], True),
+    "estimate_beta_tabulated": (["estimate-beta", "--dispersion-csv", "disp.csv",
+                                 "--omega", "0.95", "--tau", "36.87",
+                                 "--bracket", "0.47:0.72"], True),
+    "estimate_beta_tabulated_json": (["estimate-beta", "--dispersion-csv", "disp.csv",
+                                      "--omega", "0.95", "--tau", "36.87",
+                                      "--bracket", "27:41", "--degrees",
+                                      "--format", "json"], False),
+    # slow-light side of pi/4, then the fast-light side with a negative peak shift
+    "pulse_slow": (["pulse", "--samples", "256", "--beta", "0.5"], True),
+    "pulse_fast": (["pulse", "--samples", "256", "--sigma-omega", "0.004",
+                    "--beta", "0.8"], False),
 }
+
+
+def golden_file(name):
+    argv = CASES[name][0]
+    json_out = argv[0] == "pulse" or "json" in argv
+    return GOLDEN / (name + (".json" if json_out else ".csv"))
 
 
 def run_case(name, out_dir):
     argv, to_file = CASES[name]
     if to_file:
-        out = Path(out_dir) / f"{name}.csv"
+        out = Path(out_dir) / golden_file(name).name
         assert cli.main(argv + ["-o", str(out)]) == 0
         return out.read_bytes()
     buf = io.StringIO()
@@ -53,7 +81,7 @@ def run_case(name, out_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+    assert run_case(name, tmp_path) == golden_file(name).read_bytes()
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -61,7 +89,7 @@ def test_golden_bytes_across_batches(rows, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.setattr(cli, "_BATCH_ROWS", rows)
     for name in sorted(CASES):
-        assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes(), name
+        assert run_case(name, tmp_path) == golden_file(name).read_bytes(), name
 
 
 def test_golden_cases_cover_singular_rows():
@@ -74,5 +102,5 @@ if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case in sorted(CASES):
         data = run_case(case, GOLDEN)
-        (GOLDEN / f"{case}.csv").write_bytes(data)
-        print(f"wrote {case}.csv ({len(data)} bytes)")
+        golden_file(case).write_bytes(data)
+        print(f"wrote {golden_file(case).name} ({len(data)} bytes)")
