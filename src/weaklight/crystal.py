@@ -9,6 +9,7 @@ a model-parameter change, not a code change.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -67,7 +68,9 @@ class TabulatedDispersion:
     """Sampled birefringence, interpolated by a monotone piecewise cubic.
 
     The derivative used for group delays is the analytic derivative of the
-    interpolant, so phases and delays stay mutually consistent.
+    interpolant, so phases and delays stay mutually consistent.  Arrays are
+    evaluated by scipy; single frequencies by ``_piece``, which repeats
+    scipy's arithmetic on the same coefficients without its per-call cost.
     """
 
     omega_samples: np.ndarray
@@ -98,8 +101,18 @@ class TabulatedDispersion:
         ptm = PchipInterpolator(w, tm)
         object.__setattr__(self, "_phi_te", pte)
         object.__setattr__(self, "_phi_tm", ptm)
-        object.__setattr__(self, "_dphi_te", pte.derivative())
-        object.__setattr__(self, "_dphi_tm", ptm.derivative())
+        dte = pte.derivative()
+        dtm = ptm.derivative()
+        object.__setattr__(self, "_dphi_te", dte)
+        object.__setattr__(self, "_dphi_tm", dtm)
+        object.__setattr__(self, "_knots", pte.x.tolist())
+        object.__setattr__(self, "_phi_coeffs", (_intervals(pte), _intervals(ptm)))
+        object.__setattr__(self, "_dphi_coeffs", (_intervals(dte), _intervals(dtm)))
+
+
+def _intervals(pp):
+    """A PPoly's coefficients as one list per interval, lowest power first."""
+    return pp.c[::-1].T.tolist()
 
 
 DispersionModel = Union[LinearDispersion, TabulatedDispersion]
@@ -125,13 +138,34 @@ def _check_omega(model, omega):
     return omega
 
 
+def _piece(knots, coeffs, omega):
+    """Each piecewise polynomial of ``coeffs`` at one in-domain omega, as scipy's PPoly computes it.
+
+    The interval search is scipy's ``find_interval`` (knots[i] <= omega <
+    knots[i + 1], the last interval closed on the right) and the sum follows
+    its ``evaluate_poly1`` term by term, so the result matches the array path
+    bitwise.
+    """
+    i = min(bisect_right(knots, omega), len(knots) - 1) - 1
+    s = omega - knots[i]
+    out = []
+    for c in coeffs:
+        res = 0.0
+        z = 1.0
+        for ck in c[i]:
+            res = res + ck * z
+            z = z * s
+        out.append(res)
+    return tuple(out)
+
+
 def phases(model, omega):
     """(phi_te, phi_tm) at a single frequency."""
     omega = _check_omega(model, omega)
     if isinstance(model, LinearDispersion):
         return (model.tau_te * omega + model.phi0_te,
                 model.tau_tm * omega + model.phi0_tm)
-    return (float(model._phi_te(omega)), float(model._phi_tm(omega)))
+    return _piece(model._knots, model._phi_coeffs, omega)
 
 
 def phase_arrays(model, omegas):
@@ -167,7 +201,7 @@ def group_delays(model, omega):
         raise ValueError(
             f"group delays need omega strictly inside the tabulated range "
             f"({lo:g}, {hi:g}); got {omega!r}")
-    return (float(model._dphi_te(omega)), float(model._dphi_tm(omega)))
+    return _piece(model._knots, model._dphi_coeffs, omega)
 
 
 def delay_arrays(model, omegas):

@@ -543,14 +543,19 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     def delay(b):
         return group_delay(model, omega, b, pair)
 
+    # One sweep_angle scan gives the same delays as 64 group_delay calls.  The
+    # checks those calls make first run here in their order, so a bad omega
+    # or an overflowing bracket raises as a per-point scan would.
+    phases(model, omega)
+    group_delays(model, omega)
     grid = np.linspace(lo, hi, 64)
-    scanned = np.empty(64)
-    for i in range(64):
-        try:
-            scanned[i] = delay(float(grid[i]))
-        except PostselectionNull:
-            raise BadBracket(
-                f"bracket contains a postselection null near beta={grid[i]!r}") from None
+    if math.isnan(grid[0]):
+        raise ValueError(f"beta must be finite, got {float(grid[0])!r}")
+    table = sweep_angle(model, omega, grid, pair)
+    if table.singular.any():
+        i = int(np.argmax(table.singular))
+        raise BadBracket(f"bracket contains a postselection null near beta={grid[i]!r}")
+    scanned = table.group_delay
     diffs = np.diff(scanned)
     increasing = bool(np.all(diffs > 0.0))
     decreasing = bool(np.all(diffs < 0.0))
