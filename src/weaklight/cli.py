@@ -31,8 +31,9 @@ __all__ = ["parse", "execute", "main"]
 
 _SWEEP_COLUMNS = "omega,beta,re_t,im_t,abs_t,arg_t,group_delay,singular"
 _SINGULARITY_COLUMNS = "omega,beta,residual_abs_t"
+_JSON_SUBCOMMANDS = ("pulse", "estimate-beta")
 
-# sweep rows formatted per template operation and per write
+# sweep rows (or JSON array numbers) formatted per template operation
 _BATCH_ROWS = 4096
 
 _DEG = math.pi / 180.0
@@ -97,7 +98,8 @@ def _build_parser():
         p.add_argument("-o", "--output", metavar="PATH",
                        help="output file (default: standard output)")
         p.add_argument("--format", dest="fmt", metavar="FMT",
-                       help="csv or json (default csv; pulse is always json)")
+                       help="csv or json (default csv; pulse is always json; "
+                            "json only for pulse and estimate-beta)")
 
     p = sub.add_parser("contour", help="T over an (omega, beta) grid")
     p.add_argument("--omega", metavar="LO:HI:N", help="frequency grid (default 0.5:1.5:101)")
@@ -312,6 +314,9 @@ def parse(argv=None):
         parser.error(f"--format must be csv or json, got {fmt!r}")
     if sub == "pulse" and fmt != "json":
         parser.error("pulse output is json only")
+    if fmt == "json" and sub not in _JSON_SUBCOMMANDS:
+        parser.error(f"{sub} output is csv only; --format json applies to "
+                     f"{' and '.join(_JSON_SUBCOMMANDS)}")
     output, _ = res.pick("output")
 
     plan = RunPlan(subcommand=sub, model=model, pair=pair,
@@ -394,7 +399,18 @@ def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
         yield template % tuple(values[keep].tolist())
 
 
+def _float_array(values):
+    """A JSON array of floats, formatted in batches with one ``%.17g`` template each."""
+    parts = []
+    for start in range(0, values.shape[0], _BATCH_ROWS):
+        batch = values[start:start + _BATCH_ROWS].tolist()
+        parts.append(", ".join(["%.17g"] * len(batch)) % tuple(batch))
+    return "[" + ", ".join(parts) + "]"
+
+
 def _json_value(obj):
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        return _float_array(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -465,10 +481,8 @@ def _render(plan):
         grid = SpectralGrid(plan.samples, plan.omega, plan.span)
         pulse_in = gaussian_pulse(grid, plan.sigma_omega)
         pulse_out, report = propagate(model, plan.beta, pair, pulse_in)
-        in_intensity = (pulse_in.temporal.real**2
-                        + pulse_in.temporal.imag**2).tolist()
-        out_intensity = (pulse_out.temporal.real**2
-                         + pulse_out.temporal.imag**2).tolist()
+        in_intensity = pulse_in.temporal.real**2 + pulse_in.temporal.imag**2
+        out_intensity = pulse_out.temporal.real**2 + pulse_out.temporal.imag**2
         doc = {
             "command": _command_line(plan),
             "grid": {
@@ -486,7 +500,7 @@ def _render(plan):
                 "energy_transmission": report.energy_transmission,
                 "predicted_group_delay": report.predicted_group_delay,
             },
-            "times": grid.times().tolist(),
+            "times": grid.times(),
             "input_intensity": in_intensity,
             "output_intensity": out_intensity,
         }

@@ -77,6 +77,26 @@ class TestParse:
             parse(["pulse", "--format", "csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sub", ["contour", "spectrum", "angle-sweep", "singularities"])
+    def test_json_rejected_for_csv_only_subcommands(self, sub, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "json"}), encoding="utf-8")
+        for argv in ([sub, "--format", "json"], [sub, "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{sub} output is csv only" in err
+            assert "pulse and estimate-beta" in err
+
+    def test_json_accepted_where_supported(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "json", "omega": 1, "tau": 54.86,
+                                   "bracket": "0.6:0.78"}), encoding="utf-8")
+        assert parse(["estimate-beta", "--config", str(cfg)]).fmt == "json"
+        assert parse(["pulse", "--format", "json"]).fmt == "json"
+        assert parse(["contour", "--format", "csv"]).fmt == "csv"
+
 
 class TestExecute:
     def test_contour_row_count(self, tmp_path):
