@@ -1,11 +1,28 @@
-"""Numpy implementations of the hot kernels (fallback when the extension is absent).
+"""The two numpy kernels under the sweep grids and the DFT.
 
-The arithmetic mirrors the compiled core operation for operation: identical
-association order, no fused multiply-add, so the two backends produce
-bitwise-identical arrays.
+``bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im)``
+    fills ``out[i, j] = p1[i] * a[j] + p2[i] * b[j]`` (complex, split into
+    real/imaginary float64 arrays; ``out`` has shape ``(len(p1), len(a))``),
+    in the operation order of ``weakmeas._combine``, so scalar and grid
+    evaluations of a point agree bitwise.
+
+``fft_butterflies(re, im, tw_re, tw_im)``
+    in-place radix-2 Cooley-Tukey butterflies on bit-reversal-permuted data;
+    ``tw`` holds exp(-2*pi*i*k/n) for k < n/2.
 """
 
 import numpy as np
+
+__all__ = ["bilinear_grid", "fft_butterflies", "active_backend"]
+
+
+def active_backend():
+    """Name of the kernel implementation: always ``"reference"`` (numpy).
+
+    Kept so that benchmark records name the kernels they measured and records
+    taken on different kernels are never compared.
+    """
+    return "reference"
 
 
 def bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im):

@@ -1,9 +1,8 @@
 """Deterministic radix-2 discrete Fourier transform.
 
 The transform is implemented in-artifact (iterative Cooley-Tukey on
-power-of-two sizes) so pulse outputs are bit-reproducible across platforms
-and kernel backends.  Twiddle factors come from the C library's cos/sin via
-the math module in both backends.
+power-of-two sizes) so pulse outputs are bit-reproducible across platforms.
+Twiddle factors come from the C library's cos/sin via the math module.
 
 Conventions match the usual DFT pair: forward is
 ``X[k] = sum_j x[j] exp(-2*pi*i*j*k/n)`` and the inverse carries the ``1/n``.

@@ -233,10 +233,20 @@ def transfer_grid(model, omegas, betas, pair):
     return out
 
 
+def _step_into_branch(base, value):
+    """base +- pi, on the side of value, moved toward base until the step is in (-pi, pi]."""
+    v = base + math.pi if value > base else base - math.pi
+    while not -math.pi < v - base <= math.pi:
+        v = math.nextafter(v, base)
+    return v
+
+
 def unwrap(phases_in):
     """1-D unwrap: keep the first sample, force successive steps into (-pi, pi].
 
-    Output is congruent to the input modulo 2*pi elementwise and idempotent.
+    Output is congruent to the input modulo 2*pi elementwise (up to rounding)
+    and idempotent bit for bit: an input whose steps all lie in (-pi, pi]
+    comes back unchanged.
     """
     x = np.asarray(phases_in, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -244,6 +254,8 @@ def unwrap(phases_in):
     if not np.all(np.isfinite(x)):
         raise ValueError("unwrap needs finite phases")
     d = np.diff(x)
+    if np.all((d > -math.pi) & (d <= math.pi)):
+        return x.copy()
     k = np.ceil((d - math.pi) / _TWO_PI)
     w = d - _TWO_PI * k
     # guard the half-open branch against rounding at the +-pi boundary
@@ -253,6 +265,18 @@ def unwrap(phases_in):
     out[0] = x[0]
     np.cumsum(w, out=out[1:])
     out[1:] += x[0]
+    # Differencing the sums again can round a step of about +-pi out of the
+    # branch, and a second unwrap would then shift the rest by 2*pi.  Move
+    # each such sample by a few ulps so that every step is in the branch.
+    d = np.diff(out)
+    bad = np.flatnonzero((d > math.pi) | (d <= -math.pi))
+    if bad.size:
+        vals = out.tolist()
+        for i in range(int(bad[0]), len(vals) - 1):
+            step = vals[i + 1] - vals[i]
+            if step > math.pi or step <= -math.pi:
+                vals[i + 1] = _step_into_branch(vals[i], vals[i + 1])
+        out = np.array(vals)
     return out
 
 
@@ -554,7 +578,7 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     table = sweep_angle(model, omega, grid, pair)
     if table.singular.any():
         i = int(np.argmax(table.singular))
-        raise BadBracket(f"bracket contains a postselection null near beta={grid[i]!r}")
+        raise BadBracket(f"bracket contains a postselection null near beta={float(grid[i])!r}")
     scanned = table.group_delay
     diffs = np.diff(scanned)
     increasing = bool(np.all(diffs > 0.0))

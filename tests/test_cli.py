@@ -218,6 +218,13 @@ class TestProcessLevel:
         assert out.returncode == 3
         assert b"null" in out.stderr
 
+    def test_null_in_bracket_names_beta_as_float(self):
+        out = run_cli("estimate-beta", "--omega", "1", "--tau", "40",
+                      "--bracket", "0.7543981633974483:0.8173981633974483")
+        assert out.returncode == 2
+        assert b"beta=0.7853981633974483" in out.stderr
+        assert b"np.float64" not in out.stderr
+
     def test_pulse_json(self, tmp_path):
         out = tmp_path / "pulse.json"
         res = run_cli("pulse", "--samples", "512", "--span", "0.64",

@@ -1,8 +1,11 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pair, random_state
 from weaklight import (
@@ -18,6 +21,7 @@ from weaklight import (
     estimate_beta,
     find_singularities,
     group_delay,
+    load_tabulated,
     phase_spectrum,
     rotation,
     selection,
@@ -31,6 +35,26 @@ from weaklight import (
 
 PI = math.pi
 VV = selection("V", "V")
+
+# TE - TM = pi at the knot omega = 1, so V/V has exact zeros at beta = pi/4, 3pi/4
+TABLE = load_tabulated(Path(__file__).resolve().parent / "golden" / "disp.csv")
+
+angles = st.floats(-PI, PI)
+# any elliptical polarization, global phase included
+states = st.builds(lambda theta, phi, chi: PolarizationState(
+    cmath.rect(math.cos(theta), chi), cmath.rect(math.sin(theta), chi + phi)),
+    st.floats(0.0, PI / 2), angles, angles)
+pairs = st.builds(SelectionPair, states, states)
+slopes = st.floats(-50.0, 50.0)
+linear_models = st.tuples(slopes, slopes, angles, angles).filter(
+    lambda a: a[0] != a[1]).map(lambda a: LinearDispersion(*a))
+# the table is drawn on the interior of its omega domain
+models_with_omegas = st.one_of(
+    st.tuples(linear_models, st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5)),
+    st.tuples(st.just(TABLE),
+              st.lists(st.floats(0.25, 1.75, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=5)))
+betas = st.lists(st.floats(-2 * PI, 2 * PI), min_size=1, max_size=5)
 
 
 def closed_form_delay(beta):
@@ -82,6 +106,27 @@ class TestTransfer:
             assert transfer(DEFAULT_MODEL, omega, beta + PI, pair) == pytest.approx(
                 transfer(DEFAULT_MODEL, omega, beta, pair), abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(model_omegas=models_with_omegas, betas=betas, pair=pairs)
+    def test_magnitude_bounded_drawn(self, model_omegas, betas, pair):
+        model, omegas = model_omegas
+        assert np.all(np.abs(transfer_grid(model, omegas, betas, pair)) <= 1.0 + 1e-12)
+        for omega in omegas:
+            for beta in betas:
+                assert abs(transfer(model, omega, beta, pair)) <= 1.0 + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_omegas=models_with_omegas, betas=betas, pair=pairs)
+    def test_period_symmetry_drawn(self, model_omegas, betas, pair):
+        model, omegas = model_omegas
+        shifted = [beta + PI for beta in betas]
+        grid = transfer_grid(model, omegas, betas, pair)
+        assert np.all(np.abs(transfer_grid(model, omegas, shifted, pair) - grid) <= 1e-12)
+        for omega in omegas:
+            for beta, beta_pi in zip(betas, shifted):
+                assert abs(transfer(model, omega, beta_pi, pair)
+                           - transfer(model, omega, beta, pair)) <= 1e-12
+
     def test_axis_swap_symmetry(self):
         swapped = LinearDispersion(tau_te=9 * PI, tau_tm=10 * PI)
         rng = np.random.default_rng(34)
@@ -126,6 +171,27 @@ class TestUnwrap:
             assert np.allclose(unwrap(out), out, atol=1e-9)
             # congruent to the input modulo 2 pi
             assert np.max(np.abs(np.angle(np.exp(1j * (out - wrapped))))) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(angles, st.floats(-1e3, 1e3)), min_size=1, max_size=64))
+    def test_idempotent_bitwise_drawn(self, phases):
+        once = unwrap(np.array(phases))
+        assert unwrap(once).tobytes() == once.tobytes()
+
+    def test_smooth_input_returned_unchanged(self):
+        x = np.array([0.1, 0.2, 0.3, -2.5, 0.6])
+        assert unwrap(x).tobytes() == x.tobytes()
+
+    def test_step_of_minus_pi_is_settled(self):
+        # the step is exactly -pi, which the branch maps to +pi; summed back
+        # onto the first sample it rounds above pi, and a second unwrap used
+        # to shift the last sample by -2 pi
+        x = np.array([0.9549193422305247, -2.1866733113592685])
+        once = unwrap(x)
+        assert once[0] == x[0]
+        assert -PI < once[1] - once[0] <= PI
+        assert abs(once[1] - x[1] - 2 * PI) < 1e-12
+        assert unwrap(once).tobytes() == once.tobytes()
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
