@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import test_golden
 
 from weaklight.cli import execute, parse
 
@@ -245,3 +247,128 @@ class TestProcessLevel:
         assert res.returncode == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["report"]["predicted_group_delay"] is None
+
+
+# Contract of the command line, recorded from the implementation with one
+# resolver method per flag kind: a usage error exits 2 with exactly this last
+# stderr line, whether the bad value comes from argv or from --config.
+USAGE_ERRORS = [
+    (["angle-sweep", "--omega", "x"], None, "--omega expects a number, got 'x'"),
+    (["pulse", "--span", "inf"], None, "--span must be finite, got 'inf'"),
+    (["pulse", "--omega=nan"], None, "--omega must be finite, got 'nan'"),
+    (["contour", "--tau-te", "nan"], None, "--tau-te must be finite, got 'nan'"),
+    (["spectrum", "--degrees", "--beta=-inf"], None, "--beta must be finite, got '-inf'"),
+    (["contour", "--omega", "0.5:1.5"], None, "--omega expects lo:hi:count, got '0.5:1.5'"),
+    (["contour", "--omega", "0.5:1.5:x"], None, "--omega expects an integer, got 'x'"),
+    (["angle-sweep", "--beta", "0:x:5"], None, "--beta expects a number, got 'x'"),
+    (["contour", "--beta", "0:1:1"], None, "--beta: grid size must be at least 2"),
+    (["contour", "--beta", "1:1:5"], None, "--beta: empty range 1.0:1.0"),
+    (["contour", "--degrees", "--beta", "90:0:5"], None,
+     "--beta: empty range 1.5707963267948966:0.0"),
+    (["singularities", "--beta", "0:1:2"], None, "--beta expects lo:hi, got '0:1:2'"),
+    (["singularities", "--omega", "1.5:0.5"], None, "--omega: empty interval 1.5:0.5"),
+    (["estimate-beta", "--omega", "1", "--tau", "54.86", "--bracket", "0.78:0.6"], None,
+     "--bracket: empty interval 0.78:0.6"),
+    (["estimate-beta", "--omega", "1", "--tau", "54.86", "--bracket", "45:30",
+      "--degrees"], None, "--bracket: empty interval 0.7853981633974483:0.5235987755982988"),
+    (["singularities", "--scan", "x"], None, "--scan expects an integer, got 'x'"),
+    (["singularities", "--scan", "1.5"], None, "--scan expects an integer, got '1.5'"),
+    (["pulse", "--samples", "x"], None, "--samples expects an integer, got 'x'"),
+    (["estimate-beta", "--tau", "54.86", "--bracket", "0.6:0.78"], None,
+     "--omega is required for estimate-beta"),
+    (["estimate-beta", "--omega", "1", "--bracket", "0.6:0.78"], None,
+     "--tau is required for estimate-beta"),
+    (["estimate-beta", "--omega", "1", "--tau", "54.86"], None,
+     "--bracket is required for estimate-beta"),
+    (["contour", "--psi-in", "X"], None, "--psi-in expects a number, got 'X'"),
+    (["spectrum", "--psi-f", "inf"], None, "--psi-f must be finite, got 'inf'"),
+    (["contour", "--tau-te", "1", "--tau-tm", "1"], None,
+     "tau_te and tau_tm must differ; equal slopes leave the half-wave frequency undefined"),
+    (["contour", "--format", "xml"], None, "--format must be csv or json, got 'xml'"),
+    (["angle-sweep"], '{"omega": "x"}', "--omega expects a number, got 'x'"),
+    (["pulse"], '{"sigma-omega": "inf"}', "--sigma-omega must be finite, got 'inf'"),
+    (["contour"], '{"tau-tm": "nan"}', "--tau-tm must be finite, got 'nan'"),
+    (["contour"], '{"omega": [0.5, 1.5, 11]}',
+     "--omega expects lo:hi:count, got [0.5, 1.5, 11]"),
+    (["contour"], '{"omega": "0.5:1.5:1"}', "--omega: grid size must be at least 2"),
+    (["contour"], '{"beta": "60:30:4", "degrees": true}',
+     "--beta: empty range 1.0471975511965976:0.5235987755982988"),
+    (["singularities"], '{"omega": "1.5:0.5"}', "--omega: empty interval 1.5:0.5"),
+    (["singularities"], '{"scan": "x"}', "--scan expects an integer, got 'x'"),
+    (["pulse"], '{"samples": "x"}', "--samples expects an integer, got 'x'"),
+    (["estimate-beta"], '{"tau": 54.86, "bracket": "0.6:0.78"}',
+     "--omega is required for estimate-beta"),
+    (["contour"], '{"psi-in": "X"}', "--psi-in expects a number, got 'X'"),
+    (["contour"], '{"omega": ', "--config: Expecting value: line 1 column 11 (char 10)"),
+    (["contour"], '[1, 2]', "--config must hold a flat JSON object"),
+]
+
+MODEL_HELP = [
+    "--tau-te X TE phase slope (default 10*pi)",
+    "--tau-tm X TM phase slope (default 9*pi)",
+    "--phi0-te X TE phase offset (default 0)",
+    "--phi0-tm X TM phase offset (default 0)",
+    "--dispersion-csv PATH tabulated dispersion CSV (overrides the linear model)",
+    "--psi-in STATE pre-selection: V, H, D45, A135 or a linear angle",
+    "--psi-f STATE post-selection: V, H, D45, A135 or a linear angle",
+    "--degrees interpret input angles as degrees (output stays radians)",
+    "--config PATH flat JSON object whose keys are long flag names",
+    "-o PATH, --output PATH output file (default: standard output)",
+    "--format FMT csv or json (default csv; pulse is always json; "
+    "json only for pulse and estimate-beta)",
+]
+
+SUBCOMMAND_HELP = {
+    "contour": ["--omega LO:HI:N frequency grid (default 0.5:1.5:101)",
+                "--beta LO:HI:N angle grid (default 0:pi:181)"],
+    "spectrum": ["--omega LO:HI:N frequency grid (default 0.1:0.9:161)",
+                 "--beta X plate angle (default 0)"],
+    "angle-sweep": ["--omega X frequency (default 1)",
+                    "--beta LO:HI:N angle grid (default 0:pi/2:181)"],
+    "pulse": ["--omega X carrier frequency (default 1)",
+              "--span X spectral window width (default 0.64)",
+              "--samples N grid size, power of two (default 4096)",
+              "--sigma-omega X spectral bandwidth (default 0.01)",
+              "--beta X plate angle (default 0)"],
+    "singularities": ["--omega LO:HI frequency window (default 0.5:1.5)",
+                      "--beta LO:HI angle window (default 0:pi)",
+                      "--scan N scan grid density per axis (default 101)",
+                      "--tol X residual |T| tolerance (default 1e-10)"],
+    "estimate-beta": ["--omega X frequency of the measurement (required)",
+                      "--tau X measured group delay (required)",
+                      "--bracket LO:HI angle bracket (required)"],
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("argv, config, message", USAGE_ERRORS)
+    def test_usage_error_message(self, argv, config, message, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"weaklight: error: {message}"
+
+    @pytest.mark.parametrize("name", sorted(test_golden.CASES))
+    def test_header_tokens_round_trip(self, name, monkeypatch):
+        monkeypatch.chdir(test_golden.GOLDEN)
+        tokens = parse(test_golden.CASES[name][0]).tokens
+        assert "--degrees" not in tokens and "--config" not in tokens
+        assert parse(tokens).tokens == tokens
+
+    @pytest.mark.parametrize("sub", sorted(SUBCOMMAND_HELP))
+    def test_help_lists_flags_and_defaults(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse([sub, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for line in SUBCOMMAND_HELP[sub] + MODEL_HELP:
+            assert line in text, line
+        # subcommand flags first, in header order, then the model flags
+        flags = [line.split()[0] for line in SUBCOMMAND_HELP[sub] + MODEL_HELP]
+        usage = text[:text.index("options:")]
+        positions = [re.search(rf"\[{flag}[ \]]", usage).start() for flag in flags]
+        assert positions == sorted(positions)
