@@ -4,6 +4,11 @@ Every output starts with a header comment holding the fully resolved command
 (angles in radians, numbers at 17 significant digits); re-running that
 command reproduces the file byte for byte.  Exit codes: 0 success, 1 i/o,
 2 usage, 3 null postselection.
+
+The flag table ``_SUBCOMMANDS`` (with ``_MODEL_FLAGS`` for the linear model)
+is the single place where a subcommand's flags, their kinds, defaults and
+help text, and their order in the header are declared: the parser, the
+resolver, the plan attributes and the header tokens are all built from it.
 """
 
 import argparse
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import LinearDispersion, load_tabulated
-from .errors import BadBracket, PostselectionNull
+from .crystal import TAU_TE_DEFAULT, TAU_TM_DEFAULT, LinearDispersion, load_tabulated
+from .errors import PostselectionNull
 from .jones import basis_state, linear_state
 from .pulse import SpectralGrid, gaussian_pulse, propagate
 from .weakmeas import (
@@ -38,34 +43,74 @@ _BATCH_ROWS = 4096
 
 _DEG = math.pi / 180.0
 _BASIS_LABELS = ("V", "H", "D45", "A135")
-_MISSING = object()
+_REQUIRED = object()
+
+# The kind of a flag fixes its syntax, metavar and RunPlan attribute suffix;
+# the angle kinds are scaled by --degrees when the user gives the value.
+_KINDS = {"number": ("X", ""), "integer": ("N", ""),
+          "grid": ("LO:HI:N", "_grid"), "interval": ("LO:HI", "_interval")}
+
+_MODEL_FLAGS = [
+    ("tau-te", "number", TAU_TE_DEFAULT, "TE phase slope (default 10*pi)"),
+    ("tau-tm", "number", TAU_TM_DEFAULT, "TM phase slope (default 9*pi)"),
+    ("phi0-te", "number", 0.0, "TE phase offset (default 0)"),
+    ("phi0-tm", "number", 0.0, "TM phase offset (default 0)"),
+]
+
+# subcommand -> (help line, its own flags in header order as
+# (flag, kind, default, help)); grid defaults are (lo, hi, count)
+_SUBCOMMANDS = {
+    "contour": ("T over an (omega, beta) grid", [
+        ("omega", "grid", (0.5, 1.5, 101), "frequency grid (default 0.5:1.5:101)"),
+        ("beta", "angle-grid", (0.0, math.pi, 181), "angle grid (default 0:pi:181)"),
+    ]),
+    "spectrum": ("unwrapped phase vs frequency at fixed angle", [
+        ("omega", "grid", (0.1, 0.9, 161), "frequency grid (default 0.1:0.9:161)"),
+        ("beta", "angle", 0.0, "plate angle (default 0)"),
+    ]),
+    "angle-sweep": ("T and group delay vs angle at fixed frequency", [
+        ("omega", "number", 1.0, "frequency (default 1)"),
+        ("beta", "angle-grid", (0.0, 0.5 * math.pi, 181), "angle grid (default 0:pi/2:181)"),
+    ]),
+    "pulse": ("propagate a narrowband Gaussian pulse", [
+        ("omega", "number", 1.0, "carrier frequency (default 1)"),
+        ("span", "number", 0.64, "spectral window width (default 0.64)"),
+        ("samples", "integer", 4096, "grid size, power of two (default 4096)"),
+        ("sigma-omega", "number", 0.01, "spectral bandwidth (default 0.01)"),
+        ("beta", "angle", 0.0, "plate angle (default 0)"),
+    ]),
+    "singularities": ("locate transfer-function zeros", [
+        ("omega", "interval", (0.5, 1.5), "frequency window (default 0.5:1.5)"),
+        ("beta", "angle-interval", (0.0, math.pi), "angle window (default 0:pi)"),
+        ("scan", "integer", 101, "scan grid density per axis (default 101)"),
+        ("tol", "number", 1e-10, "residual |T| tolerance (default 1e-10)"),
+    ]),
+    "estimate-beta": ("invert the plate angle from a group delay", [
+        ("omega", "number", _REQUIRED, "frequency of the measurement (required)"),
+        ("tau", "number", _REQUIRED, "measured group delay (required)"),
+        ("bracket", "angle-interval", _REQUIRED, "angle bracket (required)"),
+    ]),
+}
 
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _shape(kind):
+    return kind.removeprefix("angle").lstrip("-") or "number"
+
+
 @dataclass
 class RunPlan:
+    """A resolved run; each flag of the subcommand's table is one more attribute."""
+
     subcommand: str
     model: object
     pair: SelectionPair
     output: str | None
     fmt: str
     tokens: list
-    omega_grid: np.ndarray | None = None
-    beta_grid: np.ndarray | None = None
-    omega: float | None = None
-    beta: float | None = None
-    omega_interval: tuple | None = None
-    beta_interval: tuple | None = None
-    scan: int | None = None
-    tol: float | None = None
-    tau: float | None = None
-    bracket: tuple | None = None
-    span: float | None = None
-    samples: int | None = None
-    sigma_omega: float | None = None
 
 
 def _build_parser():
@@ -76,15 +121,13 @@ def _build_parser():
                     "singularity maps, pulse runs, and angle estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="SUBCOMMAND")
-
-    def add_common(p):
+    for name, (help_line, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key, kind, _, text in flags:
+            p.add_argument(f"--{key}", metavar=_KINDS[_shape(kind)][0], help=text)
         g = p.add_argument_group("model and selection")
-        g.add_argument("--tau-te", metavar="X",
-                       help="TE phase slope (default 10*pi)")
-        g.add_argument("--tau-tm", metavar="X",
-                       help="TM phase slope (default 9*pi)")
-        g.add_argument("--phi0-te", metavar="X", help="TE phase offset (default 0)")
-        g.add_argument("--phi0-tm", metavar="X", help="TM phase offset (default 0)")
+        for key, _, _, text in _MODEL_FLAGS:
+            g.add_argument(f"--{key}", metavar="X", help=text)
         g.add_argument("--dispersion-csv", metavar="PATH",
                        help="tabulated dispersion CSV (overrides the linear model)")
         g.add_argument("--psi-in", metavar="STATE",
@@ -100,43 +143,6 @@ def _build_parser():
         p.add_argument("--format", dest="fmt", metavar="FMT",
                        help="csv or json (default csv; pulse is always json; "
                             "json only for pulse and estimate-beta)")
-
-    p = sub.add_parser("contour", help="T over an (omega, beta) grid")
-    p.add_argument("--omega", metavar="LO:HI:N", help="frequency grid (default 0.5:1.5:101)")
-    p.add_argument("--beta", metavar="LO:HI:N", help="angle grid (default 0:pi:181)")
-    add_common(p)
-
-    p = sub.add_parser("spectrum", help="unwrapped phase vs frequency at fixed angle")
-    p.add_argument("--omega", metavar="LO:HI:N", help="frequency grid (default 0.1:0.9:161)")
-    p.add_argument("--beta", metavar="X", help="plate angle (default 0)")
-    add_common(p)
-
-    p = sub.add_parser("angle-sweep", help="T and group delay vs angle at fixed frequency")
-    p.add_argument("--omega", metavar="X", help="frequency (default 1)")
-    p.add_argument("--beta", metavar="LO:HI:N", help="angle grid (default 0:pi/2:181)")
-    add_common(p)
-
-    p = sub.add_parser("pulse", help="propagate a narrowband Gaussian pulse")
-    p.add_argument("--omega", metavar="X", help="carrier frequency (default 1)")
-    p.add_argument("--span", metavar="X", help="spectral window width (default 0.64)")
-    p.add_argument("--samples", metavar="N", help="grid size, power of two (default 4096)")
-    p.add_argument("--sigma-omega", metavar="X", help="spectral bandwidth (default 0.01)")
-    p.add_argument("--beta", metavar="X", help="plate angle (default 0)")
-    add_common(p)
-
-    p = sub.add_parser("singularities", help="locate transfer-function zeros")
-    p.add_argument("--omega", metavar="LO:HI", help="frequency window (default 0.5:1.5)")
-    p.add_argument("--beta", metavar="LO:HI", help="angle window (default 0:pi)")
-    p.add_argument("--scan", metavar="N", help="scan grid density per axis (default 101)")
-    p.add_argument("--tol", metavar="X", help="residual |T| tolerance (default 1e-10)")
-    add_common(p)
-
-    p = sub.add_parser("estimate-beta", help="invert the plate angle from a group delay")
-    p.add_argument("--omega", metavar="X", help="frequency of the measurement (required)")
-    p.add_argument("--tau", metavar="X", help="measured group delay (required)")
-    p.add_argument("--bracket", metavar="LO:HI", help="angle bracket (required)")
-    add_common(p)
-
     return parser
 
 
@@ -149,16 +155,16 @@ class _Resolver:
         self.config = config
         self.degrees = degrees
 
-    def pick(self, key, default=_MISSING, required=False):
+    def pick(self, key, default=None):
         cli = getattr(self.args, key.replace("-", "_"), None)
         if cli is not None:
             return cli, True
         if key in self.config:
             return self.config[key], True
-        if required:
+        if default is _REQUIRED:
             self.parser.error(
                 f"--{key} is required for {self.args.subcommand}")
-        return (None if default is _MISSING else default), False
+        return default, False
 
     def _float(self, key, value):
         try:
@@ -175,84 +181,56 @@ class _Resolver:
         except (TypeError, ValueError):
             self.parser.error(f"--{key} expects an integer, got {value!r}")
 
-    def number(self, key, default=_MISSING, required=False):
-        value, user = self.pick(key, default, required)
-        if value is None:
-            return None
-        return self._float(key, value) if user else float(value)
+    def resolve(self, key, kind, default):
+        """The typed value of a table flag and its header token.
 
-    def integer(self, key, default=_MISSING):
+        A value the user gave (on the command line or in the config) is
+        checked, and scaled to radians for an angle kind under --degrees;
+        a grid resolves to its sample array, an interval to (lo, hi).
+        """
         value, user = self.pick(key, default)
-        return self._int(key, value) if user else int(value)
-
-    def angle(self, key, default=_MISSING, required=False):
-        value, user = self.pick(key, default, required)
-        if value is None:
-            return None
-        if not user:
-            return float(value)
-        x = self._float(key, value)
-        return x * _DEG if self.degrees else x
-
-    def _split(self, key, value, count):
-        parts = str(value).split(":")
-        if len(parts) != count:
-            shape = "lo:hi:count" if count == 3 else "lo:hi"
-            self.parser.error(f"--{key} expects {shape}, got {value!r}")
-        return parts
-
-    def grid(self, key, default, is_angle=False):
-        value, user = self.pick(key, default)
-        if not user:
-            lo, hi, n = default
-        else:
-            parts = self._split(key, value, 3)
-            lo = self._float(key, parts[0])
-            hi = self._float(key, parts[1])
+        shape = _shape(kind)
+        scale = _DEG if user and self.degrees and kind.startswith("angle") else 1.0
+        if shape == "integer":
+            n = self._int(key, value)
+            return n, str(n)
+        if shape == "number":
+            x = self._float(key, value) * scale
+            return x, _fmt(x)
+        grid = shape == "grid"
+        parts = str(value).split(":") if user else value
+        if len(parts) != (3 if grid else 2):
+            self.parser.error(
+                f"--{key} expects {'lo:hi:count' if grid else 'lo:hi'}, got {value!r}")
+        lo, hi = (self._float(key, part) * scale for part in parts[:2])
+        token = f"{_fmt(lo)}:{_fmt(hi)}"
+        if grid:
             n = self._int(key, parts[2])
-            if is_angle and self.degrees:
-                lo *= _DEG
-                hi *= _DEG
-        if n < 2:
-            self.parser.error(f"--{key}: grid size must be at least 2")
+            if n < 2:
+                self.parser.error(f"--{key}: grid size must be at least 2")
         if not lo < hi:
-            self.parser.error(f"--{key}: empty range {lo!r}:{hi!r}")
-        return np.linspace(lo, hi, n), (lo, hi, n)
+            self.parser.error(
+                f"--{key}: empty {'range' if grid else 'interval'} {lo!r}:{hi!r}")
+        if grid:
+            return np.linspace(lo, hi, n), f"{token}:{n}"
+        return (lo, hi), token
 
-    def interval(self, key, default=_MISSING, required=False, is_angle=False):
-        value, user = self.pick(key, default, required)
-        if not user:
-            return tuple(value)
-        parts = self._split(key, value, 2)
-        lo = self._float(key, parts[0])
-        hi = self._float(key, parts[1])
-        if is_angle and self.degrees:
-            lo *= _DEG
-            hi *= _DEG
-        if not lo < hi:
-            self.parser.error(f"--{key}: empty interval {lo!r}:{hi!r}")
-        return (lo, hi)
+    def flags(self, table):
+        """Resolve a flag table: ({RunPlan attribute: value}, header tokens)."""
+        values, tokens = {}, []
+        for key, kind, default, _ in table:
+            value, token = self.resolve(key, kind, default)
+            values[key.replace("-", "_") + _KINDS[_shape(kind)][1]] = value
+            tokens += [f"--{key}", token]
+        return values, tokens
 
     def state(self, key):
-        value, user = self.pick(key, default="V")
+        """A selection state from a basis label or a linear angle, and its token."""
+        value, _ = self.pick(key, "V")
         if isinstance(value, str) and value in _BASIS_LABELS:
             return basis_state(value), value
-        angle = self._float(key, value)
-        if user and self.degrees:
-            angle *= _DEG
-        try:
-            return linear_state(angle), _fmt(angle)
-        except ValueError as exc:
-            self.parser.error(f"--{key}: {exc}")
-
-
-def _range_token(bounds):
-    lo, hi, n = bounds
-    return f"{_fmt(lo)}:{_fmt(hi)}:{n}"
-
-
-def _interval_token(iv):
-    return f"{_fmt(iv[0])}:{_fmt(iv[1])}"
+        angle, token = self.resolve(key, "angle", value)
+        return linear_state(angle), token
 
 
 def parse(argv=None):
@@ -277,28 +255,16 @@ def parse(argv=None):
     if csv_path is not None:
         try:
             model = load_tabulated(csv_path)
-        except FileNotFoundError as exc:
-            print(f"weaklight: i/o error: {exc}", file=sys.stderr)
-            raise SystemExit(1) from None
         except (OSError, ValueError) as exc:
             print(f"weaklight: i/o error: {exc}", file=sys.stderr)
             raise SystemExit(1) from None
         model_tokens = ["--dispersion-csv", str(csv_path)]
     else:
-        params = {
-            "tau_te": res.number("tau-te", default=10.0 * math.pi),
-            "tau_tm": res.number("tau-tm", default=9.0 * math.pi),
-            "phi0_te": res.number("phi0-te", default=0.0),
-            "phi0_tm": res.number("phi0-tm", default=0.0),
-        }
+        params, model_tokens = res.flags(_MODEL_FLAGS)
         try:
             model = LinearDispersion(**params)
         except ValueError as exc:
             parser.error(str(exc))
-        model_tokens = [
-            "--tau-te", _fmt(model.tau_te), "--tau-tm", _fmt(model.tau_tm),
-            "--phi0-te", _fmt(model.phi0_te), "--phi0-tm", _fmt(model.phi0_tm),
-        ]
 
     psi_in, tok_in = res.state("psi-in")
     psi_f, tok_f = res.state("psi-f")
@@ -319,52 +285,12 @@ def parse(argv=None):
                      f"{' and '.join(_JSON_SUBCOMMANDS)}")
     output, _ = res.pick("output")
 
-    plan = RunPlan(subcommand=sub, model=model, pair=pair,
-                   output=output, fmt=fmt, tokens=[])
-    sub_tokens = []
-
-    if sub == "contour":
-        plan.omega_grid, w_bounds = res.grid("omega", (0.5, 1.5, 101))
-        plan.beta_grid, b_bounds = res.grid("beta", (0.0, math.pi, 181), is_angle=True)
-        sub_tokens = ["--omega", _range_token(w_bounds),
-                      "--beta", _range_token(b_bounds)]
-    elif sub == "spectrum":
-        plan.omega_grid, w_bounds = res.grid("omega", (0.1, 0.9, 161))
-        plan.beta = res.angle("beta", default=0.0)
-        sub_tokens = ["--omega", _range_token(w_bounds), "--beta", _fmt(plan.beta)]
-    elif sub == "angle-sweep":
-        plan.omega = res.number("omega", default=1.0)
-        plan.beta_grid, b_bounds = res.grid("beta", (0.0, 0.5 * math.pi, 181),
-                                            is_angle=True)
-        sub_tokens = ["--omega", _fmt(plan.omega), "--beta", _range_token(b_bounds)]
-    elif sub == "pulse":
-        plan.omega = res.number("omega", default=1.0)
-        plan.span = res.number("span", default=0.64)
-        plan.samples = res.integer("samples", default=4096)
-        plan.sigma_omega = res.number("sigma-omega", default=0.01)
-        plan.beta = res.angle("beta", default=0.0)
-        sub_tokens = ["--omega", _fmt(plan.omega), "--span", _fmt(plan.span),
-                      "--samples", str(plan.samples),
-                      "--sigma-omega", _fmt(plan.sigma_omega),
-                      "--beta", _fmt(plan.beta)]
-    elif sub == "singularities":
-        plan.omega_interval = res.interval("omega", default=(0.5, 1.5))
-        plan.beta_interval = res.interval("beta", default=(0.0, math.pi),
-                                          is_angle=True)
-        plan.scan = res.integer("scan", default=101)
-        plan.tol = res.number("tol", default=1e-10)
-        sub_tokens = ["--omega", _interval_token(plan.omega_interval),
-                      "--beta", _interval_token(plan.beta_interval),
-                      "--scan", str(plan.scan), "--tol", _fmt(plan.tol)]
-    elif sub == "estimate-beta":
-        plan.omega = res.number("omega", required=True)
-        plan.tau = res.number("tau", required=True)
-        plan.bracket = res.interval("bracket", required=True, is_angle=True)
-        sub_tokens = ["--omega", _fmt(plan.omega), "--tau", _fmt(plan.tau),
-                      "--bracket", _interval_token(plan.bracket)]
-
-    plan.tokens = [sub] + model_tokens + pair_tokens + sub_tokens \
-        + ["--format", fmt]
+    values, sub_tokens = res.flags(_SUBCOMMANDS[sub][1])
+    plan = RunPlan(subcommand=sub, model=model, pair=pair, output=output, fmt=fmt,
+                   tokens=[sub] + model_tokens + pair_tokens + sub_tokens
+                   + ["--format", fmt])
+    for name, value in values.items():
+        setattr(plan, name, value)
     return plan
 
 
@@ -413,8 +339,6 @@ def _json_value(obj):
         return _float_array(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, int):
@@ -424,8 +348,6 @@ def _json_value(obj):
     if isinstance(obj, dict):
         return "{" + ", ".join(
             f"{json.dumps(k)}: {_json_value(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -472,7 +394,7 @@ def _render(plan):
         return [_csv_document(plan, _SINGULARITY_COLUMNS, rows)]
 
     if plan.subcommand == "estimate-beta":
-        beta = estimate_beta(model, plan.omega, pair, plan.tau, plan.bracket)
+        beta = estimate_beta(model, plan.omega, pair, plan.tau, plan.bracket_interval)
         if plan.fmt == "json":
             return [_json_document({"command": _command_line(plan), "beta": beta})]
         return [_csv_document(plan, "beta", [_fmt(beta)])]
@@ -524,7 +446,7 @@ def execute(plan):
     except PostselectionNull as exc:
         print(f"weaklight: null postselection: {exc}", file=sys.stderr)
         return 3
-    except (BadBracket, ValueError) as exc:
+    except ValueError as exc:
         print(f"weaklight: error: {exc}", file=sys.stderr)
         return 2
     try:

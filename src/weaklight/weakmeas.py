@@ -22,6 +22,7 @@ import numpy as np
 
 from . import backends
 from .crystal import (
+    _bisect_root,
     delay_arrays,
     domain,
     group_delays,
@@ -64,6 +65,7 @@ NUMERIC_H = 1e-5
 _UNDERSAMPLED_FRACTION = 0.9
 
 _TWO_PI = 2.0 * math.pi
+_UNWRAP_LIMIT = 2.0 ** 40
 
 
 @dataclass(frozen=True)
@@ -246,13 +248,19 @@ def unwrap(phases_in):
 
     Output is congruent to the input modulo 2*pi elementwise (up to rounding)
     and idempotent bit for bit: an input whose steps all lie in (-pi, pi]
-    comes back unchanged.
+    comes back unchanged.  Phases must be finite with magnitude at most
+    2**40 rad, where doubles are 2**-12 (about 2.4e-4) rad apart; beyond
+    that the steps lose their value modulo 2*pi, so larger input raises
+    ``ValueError``.
     """
     x = np.asarray(phases_in, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("unwrap needs a nonempty one-dimensional array")
     if not np.all(np.isfinite(x)):
         raise ValueError("unwrap needs finite phases")
+    peak = float(np.max(np.abs(x)))
+    if peak > _UNWRAP_LIMIT:
+        raise ValueError(f"unwrap needs |phase| <= 2**40 rad, got {peak!r}")
     d = np.diff(x)
     if np.all((d > -math.pi) & (d <= math.pi)):
         return x.copy()
@@ -564,9 +572,6 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BadBracket(f"bracket ({lo!r}, {hi!r}) is not an increasing interval")
 
-    def delay(b):
-        return group_delay(model, omega, b, pair)
-
     # One sweep_angle scan gives the same delays as 64 group_delay calls.  The
     # checks those calls make first run here in their order, so a bad omega
     # or an overflowing bracket raises as a per-point scan would.
@@ -601,15 +606,5 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
         return lo
     if g_hi - tau_measured == 0.0:
         return hi
-    a, b = lo, hi
-    fa = f_lo
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        fm = delay(mid) - tau_measured
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return _bisect_root(lambda b: group_delay(model, omega, b, pair) - tau_measured,
+                        lo, hi, f_lo, tol=1e-12)

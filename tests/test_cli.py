@@ -91,6 +91,18 @@ class TestParse:
             assert f"{sub} output is csv only" in err
             assert "pulse and estimate-beta" in err
 
+    @pytest.mark.parametrize("sub, key", [("pulse", "span"), ("contour", "tau-te"),
+                                          ("estimate-beta", "omega")])
+    def test_config_null_number_is_usage_error(self, sub, key, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: None, "tau": 54.86, "bracket": "0.6:0.78"}),
+                       encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            parse([sub, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"weaklight: error: --{key} expects a number, got None"
+
     def test_json_accepted_where_supported(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"format": "json", "omega": 1, "tau": 54.86,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,23 @@ class TestUnwrap:
             unwrap(np.array([]))
         with pytest.raises(ValueError):
             unwrap(np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize("phases", [[-1e308, 1e308], [-1e300, 1e300, -1e300],
+                                        [-1e17, 1e17]])
+    def test_rejects_phases_beyond_bound_without_warnings(self, phases):
+        # their steps overflow or cancel, so no output is congruent mod 2 pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2\\*\\*40"):
+                unwrap(np.array(phases))
+
+    def test_phases_at_bound_stay_congruent(self):
+        x = np.array([0.0, 2.0**40, -2.0**40])
+        out = unwrap(x)
+        d = np.diff(out)
+        assert np.all(d > -PI) and np.all(d <= PI)
+        # doubles near 2**40 are 2**-12 rad apart
+        assert np.max(np.abs(np.angle(np.exp(1j * (out - x))))) < 1e-3
 
 
 class TestPhaseSpectrum:
