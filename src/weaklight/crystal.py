@@ -192,15 +192,9 @@ def phase_arrays(model, omegas):
 
 def group_delays(model, omega):
     """(tau_te, tau_tm) at a single frequency: the eigen-delays of the plate."""
+    omega = _check_omega(model, omega)
     if isinstance(model, LinearDispersion):
-        _check_omega(model, omega)
         return (model.tau_te, model.tau_tm)
-    omega = _finite("omega", omega)
-    lo, hi = domain(model)
-    if not lo < omega < hi:
-        raise ValueError(
-            f"group delays need omega strictly inside the tabulated range "
-            f"({lo:g}, {hi:g}); got {omega!r}")
     return _piece(model._knots, model._dphi_coeffs, omega)
 
 

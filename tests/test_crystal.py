@@ -18,6 +18,7 @@ from weaklight import (
     load_tabulated,
     phases,
 )
+from weaklight.crystal import delay_arrays
 
 PI = math.pi
 
@@ -67,9 +68,14 @@ class TestGroupDelays:
             assert group_delays(RAMP, 1.0)[idx] == pytest.approx(fd, abs=1e-9)
         assert group_delays(RAMP, 1.0) == pytest.approx((2.0, 1.0), abs=1e-9)
 
-    def test_tabulated_needs_interior_omega(self):
-        with pytest.raises(ValueError, match="strictly inside"):
-            group_delays(RAMP, 0.0)
+    def test_tabulated_closed_domain(self):
+        # the domain rule of phases(): the table's end knots are inside
+        for omega in (0.0, 2.0):
+            assert group_delays(RAMP, omega) == tuple(
+                float(d[0]) for d in delay_arrays(RAMP, [omega]))
+        for omega in (np.nextafter(0.0, -1.0), np.nextafter(2.0, 3.0)):
+            with pytest.raises(ValueError, match="outside tabulated range"):
+                group_delays(RAMP, omega)
 
     def test_fd_slope_matches(self):
         h = 1e-5

@@ -76,14 +76,10 @@ class TestScalarAgreement:
     def test_linear_model(self, pair, omegas, betas):
         assert_table_matches_scalar(DEFAULT_MODEL, selection(*pair), omegas, betas)
 
-    # Interior omegas only: delay_arrays accepts the closed tabulated domain
-    # while group_delays raises at its endpoints, a known disagreement pinned
-    # by test_crystal's test_tabulated_needs_interior_omega.
+    # the closed tabulated domain, end knots included
     @settings(max_examples=100, deadline=None)
     @given(pair=pairs, betas=betas,
-           omegas=st.lists(st.one_of(st.just(1.0),
-                                     st.floats(0.25, 1.75, exclude_min=True,
-                                               exclude_max=True)),
+           omegas=st.lists(st.one_of(st.just(1.0), st.floats(0.25, 1.75)),
                            min_size=1, max_size=5))
     def test_tabulated_model(self, pair, omegas, betas):
         assert_table_matches_scalar(TABLE, selection(*pair), omegas, betas)
