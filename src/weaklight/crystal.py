@@ -37,6 +37,11 @@ __all__ = [
 TAU_TE_DEFAULT = 10.0 * math.pi
 TAU_TM_DEFAULT = 9.0 * math.pi
 
+# Root scans treat a value within this much (times the scale of its inputs)
+# of zero as zero: the weight gap |p1|^2 - |p2|^2 of a crossed selection pair,
+# zero in exact arithmetic, computes to at most 1.5 ulp of 1.
+_ROUNDING = 8.0 * np.finfo(float).eps
+
 
 def _finite(name, value):
     x = float(value)
@@ -207,9 +212,16 @@ def delay_arrays(model, omegas):
             np.asarray(model._dphi_tm(w), dtype=float))
 
 
-def _bisect_root(fun, a, b, fa, tol=1e-10):
+def _bisect_root(fun, a, b, fa, tol=0.0):
+    """A root of fun in [a, b], given fun(a) = fa and fun(b) of the other sign.
+
+    Halves the bracket until it is at most ``tol`` wide or its midpoint
+    rounds to an end, which with the default tol of 0 leaves adjacent doubles.
+    """
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         fm = fun(mid)
         if fm == 0.0:
             return mid
@@ -220,12 +232,47 @@ def _bisect_root(fun, a, b, fa, tol=1e-10):
     return 0.5 * (a + b)
 
 
-def half_wave_frequencies(model, omega_range, scan=1000):
-    """All omega in the range where phi_te - phi_tm is pi modulo 2*pi.
+def _scan_roots(fun, grid, values, atol):
+    """Ascending roots of fun on [grid[0], grid[-1]] from its values on that grid.
 
-    Roots of cos((phi_te - phi_tm)/2) are bracketed on a scan grid and
-    bisected to 1e-10; tangential (double) roots that never change sign on
-    the scan grid are not detected.
+    ``values`` is fun on the ascending ``grid``.  A node whose value is within
+    ``atol`` (the rounding error of the values) of zero is a root, so a root
+    at or within rounding of a node, window ends included, is found once.
+    Between nodes beyond ``atol`` of opposite sign, the root is bisected to
+    adjacent doubles.  A root where fun touches zero without changing sign
+    between nodes is not found.
+    """
+    near_zero = np.abs(values) <= atol
+    sign = np.where(near_zero, 0.0, np.sign(values))
+    roots = grid[near_zero].tolist()
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0).tolist():
+        roots.append(_bisect_root(fun, float(grid[i]), float(grid[i + 1]),
+                                  float(values[i])))
+    return sorted(roots)
+
+
+def _half_wave_roots(model, omegas, phase_te, phase_tm, offset=0.0):
+    """The omega in [omegas[0], omegas[-1]] where phi_te - phi_tm + offset is pi modulo 2*pi.
+
+    These are the roots of cos((phi_te - phi_tm + offset)/2), scanned on the
+    ascending ``omegas`` with ``phase_te, phase_tm = phase_arrays(model, omegas)``.
+    """
+    def fun(w):
+        pte, ptm = phases(model, w)
+        return math.cos(0.5 * (pte - ptm + offset))
+
+    values = np.cos(0.5 * (phase_te - phase_tm + offset))
+    atol = _ROUNDING * (1.0 + np.abs(phase_te) + np.abs(phase_tm))
+    return _scan_roots(fun, omegas, values, atol)
+
+
+def half_wave_frequencies(model, omega_range, scan=1000):
+    """All omega in the closed range where phi_te - phi_tm is pi modulo 2*pi.
+
+    Roots of cos((phi_te - phi_tm)/2) are bracketed on a ``scan``-point grid
+    and bisected to adjacent doubles; a grid node within rounding of a root
+    is returned as it is.  Tangential (double) roots that never change sign
+    on the scan grid are not detected.
     """
     lo = _finite("omega_range[0]", omega_range[0])
     hi = _finite("omega_range[1]", omega_range[1])
@@ -239,27 +286,8 @@ def half_wave_frequencies(model, omega_range, scan=1000):
     scan = int(scan)
     if scan < 2:
         raise ValueError("scan density must be at least 2")
-
-    def fun(w):
-        pte, ptm = phases(model, w)
-        return math.cos(0.5 * (pte - ptm))
-
-    grid = np.linspace(lo, hi, scan)
-    vals = [fun(w) for w in grid]
-    roots = []
-    for i in range(scan - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect_root(fun, float(grid[i]), float(grid[i + 1]),
-                                      vals[i]))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    merged = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    return merged
+    omegas = np.linspace(lo, hi, scan)
+    return _half_wave_roots(model, omegas, *phase_arrays(model, omegas))
 
 
 def evolution_operator(model, omega, beta):

@@ -14,6 +14,7 @@ contour grid, because the transfer-function zeros carry a phase winding that
 makes two-dimensional unwrapping ill-defined.
 """
 
+import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,9 +23,11 @@ import numpy as np
 
 from . import backends
 from .crystal import (
+    _ROUNDING,
     _bisect_root,
+    _half_wave_roots,
+    _scan_roots,
     delay_arrays,
-    domain,
     group_delays,
     phase_arrays,
     phases,
@@ -115,7 +118,12 @@ class TransferSample:
 
 @dataclass(frozen=True)
 class Singularity:
-    """A zero of the transfer function located to machine level."""
+    """A zero of the transfer function, as found by ``find_singularities``.
+
+    ``omega`` and ``beta`` are each bisected to adjacent doubles (or are a
+    scan node within rounding of the root), and ``residual_abs_t`` is |T|
+    there, at rounding level for a simple zero.
+    """
 
     omega: float
     beta: float
@@ -459,46 +467,23 @@ def contour_grid(model, omegas, betas, pair):
                          *(a.T.ravel() for a in (tre, tim, nre, nim)))
 
 
-def _refine_zero(objective, w, b, step_w, step_b, bounds, tol):
-    """Compass search on |T|^2: derivative-free, steps shrink by halving.
-
-    |T| is cone-like (non-smooth) at its zero, which defeats gradient
-    methods exactly where precision matters; coordinate moves do not care.
-    """
-    f = objective(w, b)
-    tol_sq = tol * tol
-    w_lo, w_hi, b_lo, b_hi = bounds
-    for _ in range(20000):
-        if f < tol_sq:
-            break
-        best_f = f
-        best_w = w
-        best_b = b
-        for dw, db in ((step_w, 0.0), (-step_w, 0.0), (0.0, step_b), (0.0, -step_b)):
-            w1 = w + dw
-            b1 = b + db
-            if not (w_lo <= w1 <= w_hi and b_lo <= b1 <= b_hi):
-                continue
-            f1 = objective(w1, b1)
-            if f1 < best_f:
-                best_f, best_w, best_b = f1, w1, b1
-        if best_f < f:
-            f, w, b = best_f, best_w, best_b
-        else:
-            step_w *= 0.5
-            step_b *= 0.5
-            if step_w < 1e-14 and step_b < 1e-14:
-                break
-    return w, b, math.sqrt(f)
-
-
 def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10):
-    """Locate the zeros of T inside a rectangular (omega, beta) window.
+    """Locate the zeros of T inside a closed rectangular (omega, beta) window.
 
-    A coarse |T|^2 scan promotes local minima below an automatic threshold;
-    each is refined by compass search until |T| < tol or the step underflows
-    1e-14.  Refined points within 1e-6 of each other merge (smallest residual
-    wins) and the result is sorted by (omega, beta).
+    T = p1 e^{i phi_te} + p2 e^{i phi_tm} vanishes exactly where the weight
+    gap |p1|^2 - |p2|^2 is zero and phi_te - phi_tm + arg p1 - arg p2 is pi
+    modulo 2*pi, so the search is two one-dimensional root problems: the
+    beta roots of the gap on a ``scan``-point beta grid, then at each of them
+    the omega roots of cos((phi_te - phi_tm + arg p1 - arg p2)/2) on a
+    ``scan``-point omega grid.  Each sign change is bisected to adjacent
+    doubles and a node within rounding of a root is taken as it is; a point
+    is kept when |T| < tol there.  A root that touches zero without changing
+    sign between two scan nodes (a tangential root) may be missed.
+
+    Zeros that form lines instead of points raise PostselectionNull: a gap
+    within rounding of zero on the whole beta scan (crossed pairs), or a
+    beta root with |p1| + |p2| < tol, where |T| < tol at every omega.  The
+    result is sorted by (omega, beta).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -511,52 +496,32 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
         raise ValueError("omega and beta ranges must be nonempty")
     omegas = np.linspace(w_lo, w_hi, scan)
     betas = np.linspace(b_lo, b_hi, scan)
-    tre, tim = _grids(model, omegas, betas, pair)
-    f_sq = tre * tre + tim * tim
+    phase_te, phase_tm = phase_arrays(model, omegas)
+    p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
+    gaps = p1re * p1re + p1im * p1im - (p2re * p2re + p2im * p2im)
+    if np.all(np.abs(gaps) <= _ROUNDING):
+        raise PostselectionNull(
+            "|p1| = |p2| on the whole beta scan: the zeros of T in the window, "
+            "if any, form lines, not points")
 
-    # Promotion threshold: |T| changes at most ~(dtau/2 + 2) per unit of
-    # (omega, beta) motion (common phase drops out of the magnitude), so a
-    # zero hiding within one cell keeps its grid neighbors below this.
-    dte, dtm = delay_arrays(model, omegas)
-    dtau = float(np.max(np.abs(dte - dtm)))
-    step_w = (w_hi - w_lo) / (scan - 1)
-    step_b = (b_hi - b_lo) / (scan - 1)
-    promote = min(0.5, 2.0 * (0.5 * dtau + 2.0) * math.hypot(step_w, step_b))
-
-    padded = np.pad(f_sq, 1, constant_values=np.inf)
-    is_min = np.ones(f_sq.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            nb = padded[1 + di:padded.shape[0] - 1 + di,
-                        1 + dj:padded.shape[1] - 1 + dj]
-            is_min &= f_sq <= nb
-    is_min &= f_sq < promote * promote
-
-    dom_lo, dom_hi = domain(model)
-    bounds = (max(w_lo - step_w, dom_lo), min(w_hi + step_w, dom_hi),
-              b_lo - step_b, b_hi + step_b)
-
-    def objective(w, b):
-        t = transfer(model, w, b, pair)
-        return t.real * t.real + t.imag * t.imag
+    def gap(b):
+        p1, p2 = _weights(b, pair)
+        return p1.real * p1.real + p1.imag * p1.imag - (p2.real * p2.real + p2.imag * p2.imag)
 
     found = []
-    for bi, wi in np.argwhere(is_min):
-        w, b, residual = _refine_zero(objective, float(omegas[wi]), float(betas[bi]),
-                                      step_w, step_b, bounds, tol)
-        if residual < tol:
-            found.append(Singularity(w, b, residual))
-
-    merged = []
-    for cand in sorted(found, key=lambda s: s.residual_abs_t):
-        if any(abs(cand.omega - kept.omega) <= 1e-6
-               and abs(cand.beta - kept.beta) <= 1e-6 for kept in merged):
-            continue
-        merged.append(cand)
-    merged.sort(key=lambda s: (s.omega, s.beta))
-    return merged
+    for b in _scan_roots(gap, betas, gaps, _ROUNDING):
+        p1, p2 = _weights(b, pair)
+        if abs(p1) + abs(p2) < tol:
+            raise PostselectionNull(
+                f"p1 = p2 = 0 at beta={b!r}: |T| < tol at every omega there")
+        offset = cmath.phase(p1) - cmath.phase(p2)
+        for w in _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
+            t = transfer(model, w, b, pair)
+            residual = math.sqrt(t.real * t.real + t.imag * t.imag)
+            if residual < tol:
+                found.append(Singularity(w, b, residual))
+    found.sort(key=lambda s: (s.omega, s.beta))
+    return found
 
 
 def estimate_beta(model, omega, pair, tau_measured, bracket):

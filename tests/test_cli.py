@@ -148,6 +148,18 @@ class TestExecute:
         assert float(first[1]) == pytest.approx(0.7853981633974483, abs=1e-6)
         assert float(second[1]) == pytest.approx(2.356194490192345, abs=1e-6)
 
+    @pytest.mark.parametrize("psi_in, psi_f", [("V", "H"), ("D45", "A135")])
+    def test_crossed_singularities_exit_3(self, psi_in, psi_f, tmp_path, capsys):
+        # crossed pairs have lines of zeros, not points: no file, a note on stderr
+        out = tmp_path / "sing.csv"
+        plan = parse(["singularities", "--omega", "0.5:2.5",
+                      "--beta", f"0.05:{PI - 0.05!r}", "--psi-in", psi_in,
+                      "--psi-f", psi_f, "-o", str(out)])
+        assert execute(plan) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("weaklight: null postselection: ") and "lines" in err
+
     def test_estimate_beta_output(self, tmp_path):
         out = tmp_path / "beta.csv"
         plan = parse(["estimate-beta", "--omega", "1", "--tau", "54.86",

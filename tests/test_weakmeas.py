@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_pair, random_state
@@ -494,6 +494,72 @@ class TestFindSingularities:
             find_singularities(DEFAULT_MODEL, (1.5, 0.5), (0.0, PI), VV)
         with pytest.raises(ValueError):
             find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV, tol=0.0)
+
+
+def closed_form_zeros(theta_in, theta_f, omega_range, beta_range):
+    """Zeros of T on DEFAULT_MODEL for linear selections, in a closed window.
+
+    With a = theta_in - beta and b = theta_f - beta the weights are
+    p1 = cos a cos b and p2 = sin a sin b, so |p1|^2 - |p2|^2 =
+    cos(a + b) cos(a - b): for a pair that is not crossed it vanishes at
+    beta = (theta_in + theta_f)/2 + pi/4 (mod pi/2), where p1 = p2.  T is
+    then p1 (e^{i phi_te} + e^{i phi_tm}), zero at the odd half-wave
+    frequencies omega = 1, 3, 5, ...
+    """
+    w_lo, w_hi = omega_range
+    b_lo, b_hi = beta_range
+    omegas = [float(k) for k in range(1, 9, 2) if w_lo <= k <= w_hi]
+    beta0 = 0.5 * (theta_in + theta_f) + 0.25 * PI
+    ks = range(math.ceil((b_lo - beta0) / (0.5 * PI)) - 1,
+               math.floor((b_hi - beta0) / (0.5 * PI)) + 2)
+    betas = [beta0 + 0.5 * PI * k for k in ks if b_lo <= beta0 + 0.5 * PI * k <= b_hi]
+    return [(w, b) for w in omegas for b in betas]
+
+
+def near_edge(x, lo, hi):
+    return min(abs(x - lo), abs(x - hi)) <= 1e-9
+
+
+# omega windows stay within [0, 4], where the phases are below 40*pi and their
+# rounding keeps |T| at a zero under 1e-14
+omega_windows = st.builds(lambda lo, width: (lo, min(lo + width, 4.0)),
+                          st.floats(0.0, 3.9), st.floats(0.1, 4.0))
+beta_windows = st.builds(lambda lo, width: (lo, lo + width),
+                         st.floats(-4.0, 4.0), st.floats(0.1, 4.0))
+# linear pairs kept away from crossed ones, whose zeros form lines
+uncrossed_pairs = st.tuples(angles, angles).filter(
+    lambda a: abs(math.cos(a[0] - a[1])) >= 0.2)
+
+
+class TestZerosAsRootProblems:
+    @settings(max_examples=200, deadline=None)
+    @given(thetas=uncrossed_pairs, omega_range=omega_windows, beta_range=beta_windows)
+    def test_linear_pairs_match_closed_form(self, thetas, omega_range, beta_range):
+        want = closed_form_zeros(*thetas, omega_range, beta_range)
+        assume(not any(near_edge(w, *omega_range) or near_edge(b, *beta_range)
+                       for w, b in want))
+        hits = find_singularities(DEFAULT_MODEL, omega_range, beta_range,
+                                  selection(*thetas))
+        assert len(hits) == len(want)
+        for w, b in want:
+            assert sum(abs(h.omega - w) <= 1e-12 and abs(h.beta - b) <= 1e-12
+                       for h in hits) == 1
+        for h in hits:
+            assert h.residual_abs_t <= 1e-14
+            assert omega_range[0] <= h.omega <= omega_range[1]
+            assert beta_range[0] <= h.beta <= beta_range[1]
+
+    @pytest.mark.parametrize("labels", [("V", "H"), ("D45", "A135")])
+    def test_crossed_pairs_raise(self, labels):
+        with pytest.raises(PostselectionNull, match="lines"):
+            find_singularities(DEFAULT_MODEL, (0.5, 2.5), (0.05, PI - 0.05),
+                               selection(*labels))
+
+    def test_nearly_crossed_pair_raises(self):
+        # |p1| + |p2| = |cos(theta_in - theta_f)| < tol on the gap's roots
+        pair = selection(0.3, 0.3 + 0.5 * PI - 1e-12)
+        with pytest.raises(PostselectionNull, match="p1 = p2 = 0"):
+            find_singularities(DEFAULT_MODEL, (0.5, 2.5), (0.05, PI - 0.05), pair)
 
 
 class TestEstimateBeta:
