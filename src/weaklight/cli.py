@@ -114,6 +114,7 @@ class RunPlan:
 
 
 def _build_parser():
+    """The parser, and for each subcommand the long flag names a --config key may use."""
     parser = argparse.ArgumentParser(
         prog="weaklight",
         description="Post-selected birefringent-plate sweeps: transfer "
@@ -121,29 +122,36 @@ def _build_parser():
                     "singularity maps, pulse runs, and angle estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="SUBCOMMAND")
+    config_keys = {}
     for name, (help_line, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
+        keys = config_keys[name] = set()
+
+        def add(group, *names, **kwargs):
+            keys.add(names[-1].removeprefix("--"))
+            group.add_argument(*names, **kwargs)
+
         for key, kind, _, text in flags:
-            p.add_argument(f"--{key}", metavar=_KINDS[_shape(kind)][0], help=text)
+            add(p, f"--{key}", metavar=_KINDS[_shape(kind)][0], help=text)
         g = p.add_argument_group("model and selection")
         for key, _, _, text in _MODEL_FLAGS:
-            g.add_argument(f"--{key}", metavar="X", help=text)
-        g.add_argument("--dispersion-csv", metavar="PATH",
-                       help="tabulated dispersion CSV (overrides the linear model)")
-        g.add_argument("--psi-in", metavar="STATE",
-                       help="pre-selection: V, H, D45, A135 or a linear angle")
-        g.add_argument("--psi-f", metavar="STATE",
-                       help="post-selection: V, H, D45, A135 or a linear angle")
-        p.add_argument("--degrees", action="store_true",
-                       help="interpret input angles as degrees (output stays radians)")
+            add(g, f"--{key}", metavar="X", help=text)
+        add(g, "--dispersion-csv", metavar="PATH",
+            help="tabulated dispersion CSV (overrides the linear model)")
+        add(g, "--psi-in", metavar="STATE",
+            help="pre-selection: V, H, D45, A135 or a linear angle")
+        add(g, "--psi-f", metavar="STATE",
+            help="post-selection: V, H, D45, A135 or a linear angle")
+        add(p, "--degrees", action="store_true",
+            help="interpret input angles as degrees (output stays radians)")
         p.add_argument("--config", metavar="PATH",
                        help="flat JSON object whose keys are long flag names")
-        p.add_argument("-o", "--output", metavar="PATH",
-                       help="output file (default: standard output)")
-        p.add_argument("--format", dest="fmt", metavar="FMT",
-                       help="csv or json (default csv; pulse is always json; "
-                            "json only for pulse and estimate-beta)")
-    return parser
+        add(p, "-o", "--output", metavar="PATH",
+            help="output file (default: standard output)")
+        add(p, "--format", dest="fmt", metavar="FMT",
+            help="csv or json (default csv; pulse is always json; "
+                 "json only for pulse and estimate-beta)")
+    return parser, config_keys
 
 
 class _Resolver:
@@ -168,6 +176,8 @@ class _Resolver:
 
     def _float(self, key, value):
         try:
+            if isinstance(value, bool):
+                raise TypeError
             x = float(value)
         except (TypeError, ValueError):
             self.parser.error(f"--{key} expects a number, got {value!r}")
@@ -176,7 +186,10 @@ class _Resolver:
         return x
 
     def _int(self, key, value):
+        # int() would truncate a JSON float and take a JSON boolean
         try:
+            if isinstance(value, (bool, float)):
+                raise TypeError
             return int(value)
         except (TypeError, ValueError):
             self.parser.error(f"--{key} expects an integer, got {value!r}")
@@ -235,7 +248,7 @@ class _Resolver:
 
 def parse(argv=None):
     """Resolve argv (and any config file) into a RunPlan; exits 2 on usage errors."""
-    parser = _build_parser()
+    parser, config_keys = _build_parser()
     args = parser.parse_args(argv)
 
     config = {}
@@ -247,8 +260,14 @@ def parse(argv=None):
             parser.error(f"--config: {exc}")
         if not isinstance(config, dict):
             parser.error("--config must hold a flat JSON object")
+        for key in config:
+            if key not in config_keys[args.subcommand]:
+                parser.error(f"--config: {args.subcommand} has no flag --{key}")
 
-    degrees = bool(args.degrees or config.get("degrees", False))
+    degrees = config.get("degrees", False)
+    if not isinstance(degrees, bool):
+        parser.error(f"--degrees expects true or false, got {degrees!r}")
+    degrees = args.degrees or degrees
     res = _Resolver(parser, args, config, degrees)
 
     csv_path, _ = res.pick("dispersion-csv")

@@ -95,8 +95,10 @@ class TestParse:
                                           ("estimate-beta", "omega")])
     def test_config_null_number_is_usage_error(self, sub, key, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({key: None, "tau": 54.86, "bracket": "0.6:0.78"}),
-                       encoding="utf-8")
+        doc = {key: None}
+        if sub == "estimate-beta":
+            doc.update(tau=54.86, bracket="0.6:0.78")
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             parse([sub, "--config", str(cfg)])
         assert exc.value.code == 2
@@ -325,6 +327,17 @@ USAGE_ERRORS = [
     (["contour"], '{"psi-in": "X"}', "--psi-in expects a number, got 'X'"),
     (["contour"], '{"omega": ', "--config: Expecting value: line 1 column 11 (char 10)"),
     (["contour"], '[1, 2]', "--config must hold a flat JSON object"),
+    (["contour"], '{"degrees": "false", "beta": "0:90:3"}',
+     "--degrees expects true or false, got 'false'"),
+    (["contour"], '{"degrees": 1}', "--degrees expects true or false, got 1"),
+    (["singularities"], '{"scan": 40.9}', "--scan expects an integer, got 40.9"),
+    (["singularities"], '{"scan": true}', "--scan expects an integer, got True"),
+    (["pulse"], '{"samples": 256.7}', "--samples expects an integer, got 256.7"),
+    (["estimate-beta"], '{"omega": 1, "tau": true, "bracket": "0.6:0.78"}',
+     "--tau expects a number, got True"),
+    (["contour"], '{"omgea": "0.9:1.1:2"}', "--config: contour has no flag --omgea"),
+    (["contour"], '{"scan": 40}', "--config: contour has no flag --scan"),
+    (["spectrum"], '{"config": "run.json"}', "--config: spectrum has no flag --config"),
 ]
 
 MODEL_HELP = [
