@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weaklight import (
     DEFAULT_MODEL,
@@ -14,6 +17,7 @@ from weaklight import (
     selection,
     transfer_line,
 )
+from weaklight.fourier import dft_forward, dft_inverse
 from weaklight.pulse import _analysis, _synthesis
 
 PI = math.pi
@@ -61,6 +65,12 @@ class TestSpectralGrid:
         assert g.time_step == pytest.approx(2 * PI / 0.64, abs=0)
 
 
+# spectrum samples: zero, or of a magnitude whose square is a normal double;
+# energies in the subnormal range keep too few digits for a 1e-9 comparison
+samples = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=1e-100, max_magnitude=1e6, allow_nan=False, allow_infinity=False))
+
+
 class TestTransformPair:
     def test_round_trip(self):
         rng = np.random.default_rng(61)
@@ -68,12 +78,24 @@ class TestTransformPair:
         back = _analysis(GRID, _synthesis(GRID, spec))
         assert np.max(np.abs(back - spec)) / np.max(np.abs(spec)) < 1e-12
 
-    def test_parseval_on_random_fields(self):
-        rng = np.random.default_rng(62)
-        spec = rng.normal(size=GRID.n) + 1j * rng.normal(size=GRID.n)
-        field = PulseField.from_spectral(GRID, spec)
-        assert field.spectral_energy() == pytest.approx(field.temporal_energy(),
-                                                        rel=1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), bits=st.integers(1, 12),
+           span=st.floats(1e-3, 1e3, allow_subnormal=False))
+    def test_parseval_on_random_fields(self, data, bits, span):
+        n = 2 ** bits
+        values = data.draw(arrays(np.complex128, n, elements=samples))
+        # the transform pair at every size: sum |X|^2 = n sum |x|^2
+        energy = float(np.sum(np.abs(values) ** 2))
+        for transformed, factor in ((dft_forward(values), n), (dft_inverse(values), 1.0 / n)):
+            assert abs(float(np.sum(np.abs(transformed) ** 2)) - factor * energy) \
+                <= 1e-9 * factor * energy
+        if n < 64:
+            return   # the smallest SpectralGrid
+        grid = SpectralGrid(n, 1.0, span)
+        for field in (PulseField.from_spectral(grid, values),
+                      PulseField.from_temporal(grid, values)):
+            e_spec, e_temp = field.spectral_energy(), field.temporal_energy()
+            assert abs(e_spec - e_temp) <= 1e-9 * max(e_spec, e_temp)
 
     def test_mismatched_pair_rejected(self):
         rng = np.random.default_rng(63)
