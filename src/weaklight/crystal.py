@@ -251,7 +251,7 @@ def _scan_roots(fun, grid, values, atol):
     return sorted(roots)
 
 
-def _half_wave_roots(model, omegas, phase_te, phase_tm, offset=0.0):
+def _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
     """The omega in [omegas[0], omegas[-1]] where phi_te - phi_tm + offset is pi modulo 2*pi.
 
     These are the roots of cos((phi_te - phi_tm + offset)/2), scanned on the
@@ -287,7 +287,7 @@ def half_wave_frequencies(model, omega_range, scan=1000):
     if scan < 2:
         raise ValueError("scan density must be at least 2")
     omegas = np.linspace(lo, hi, scan)
-    return _half_wave_roots(model, omegas, *phase_arrays(model, omegas))
+    return _half_wave_roots(model, omegas, *phase_arrays(model, omegas), 0.0)
 
 
 def evolution_operator(model, omega, beta):
