@@ -82,7 +82,7 @@ _SUBCOMMANDS = {
     "singularities": ("locate transfer-function zeros", [
         ("omega", "interval", (0.5, 1.5), "frequency window (default 0.5:1.5)"),
         ("beta", "angle-interval", (0.0, math.pi), "angle window (default 0:pi)"),
-        ("scan", "integer", 101, "scan grid density per axis (default 101)"),
+        ("scan", "integer", 101, "points on each 1-D root scan (default 101)"),
         ("tol", "number", 1e-10, "residual |T| tolerance (default 1e-10)"),
     ]),
     "estimate-beta": ("invert the plate angle from a group delay", [

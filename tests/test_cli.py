@@ -369,7 +369,7 @@ SUBCOMMAND_HELP = {
               "--beta X plate angle (default 0)"],
     "singularities": ["--omega LO:HI frequency window (default 0.5:1.5)",
                       "--beta LO:HI angle window (default 0:pi)",
-                      "--scan N scan grid density per axis (default 101)",
+                      "--scan N points on each 1-D root scan (default 101)",
                       "--tol X residual |T| tolerance (default 1e-10)"],
     "estimate-beta": ["--omega X frequency of the measurement (required)",
                       "--tau X measured group delay (required)",
