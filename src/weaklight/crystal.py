@@ -239,8 +239,8 @@ def _scan_roots(fun, grid, values, atol):
     ``atol`` (the rounding error of the values) of zero is a root, so a root
     at or within rounding of a node, window ends included, is found once.
     Between nodes beyond ``atol`` of opposite sign, the root is bisected to
-    adjacent doubles.  A root where fun touches zero without changing sign
-    between nodes is not found.
+    adjacent doubles.  Roots that leave two adjacent nodes with the same
+    sign, a tangential root or two roots in one cell, are not found.
     """
     near_zero = np.abs(values) <= atol
     sign = np.where(near_zero, 0.0, np.sign(values))

@@ -477,8 +477,9 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     the omega roots of cos((phi_te - phi_tm + arg p1 - arg p2)/2) on a
     ``scan``-point omega grid.  Each sign change is bisected to adjacent
     doubles and a node within rounding of a root is taken as it is; a point
-    is kept when |T| < tol there.  A root that touches zero without changing
-    sign between two scan nodes (a tangential root) may be missed.
+    is kept when |T| < tol there.  Roots that leave two adjacent scan nodes
+    with the same sign, a tangential root or two roots in one cell, are
+    missed.
 
     Zeros that form lines instead of points raise PostselectionNull: a gap
     within rounding of zero on the whole beta scan (crossed pairs), or a

@@ -22,6 +22,7 @@ from weaklight import (
     estimate_beta,
     find_singularities,
     group_delay,
+    half_wave_frequencies,
     load_tabulated,
     phase_spectrum,
     rotation,
@@ -497,14 +498,14 @@ class TestFindSingularities:
 
 
 def closed_form_zeros(theta_in, theta_f, omega_range, beta_range):
-    """Zeros of T on DEFAULT_MODEL for linear selections, in a closed window.
+    """The omegas and the betas of the zeros of T on DEFAULT_MODEL in a closed window.
 
-    With a = theta_in - beta and b = theta_f - beta the weights are
-    p1 = cos a cos b and p2 = sin a sin b, so |p1|^2 - |p2|^2 =
-    cos(a + b) cos(a - b): for a pair that is not crossed it vanishes at
+    For linear selections, with a = theta_in - beta and b = theta_f - beta,
+    the weights are p1 = cos a cos b and p2 = sin a sin b, so |p1|^2 - |p2|^2
+    = cos(a + b) cos(a - b): for a pair that is not crossed it vanishes at
     beta = (theta_in + theta_f)/2 + pi/4 (mod pi/2), where p1 = p2.  T is
     then p1 (e^{i phi_te} + e^{i phi_tm}), zero at the odd half-wave
-    frequencies omega = 1, 3, 5, ...
+    frequencies omega = 1, 3, 5, ...  The zeros are every (omega, beta) pair.
     """
     w_lo, w_hi = omega_range
     b_lo, b_hi = beta_range
@@ -513,7 +514,7 @@ def closed_form_zeros(theta_in, theta_f, omega_range, beta_range):
     ks = range(math.ceil((b_lo - beta0) / (0.5 * PI)) - 1,
                math.floor((b_hi - beta0) / (0.5 * PI)) + 2)
     betas = [beta0 + 0.5 * PI * k for k in ks if b_lo <= beta0 + 0.5 * PI * k <= b_hi]
-    return [(w, b) for w in omegas for b in betas]
+    return omegas, betas
 
 
 def near_edge(x, lo, hi):
@@ -535,9 +536,16 @@ class TestZerosAsRootProblems:
     @settings(max_examples=200, deadline=None)
     @given(thetas=uncrossed_pairs, omega_range=omega_windows, beta_range=beta_windows)
     def test_linear_pairs_match_closed_form(self, thetas, omega_range, beta_range):
-        want = closed_form_zeros(*thetas, omega_range, beta_range)
-        assume(not any(near_edge(w, *omega_range) or near_edge(b, *beta_range)
-                       for w, b in want))
+        # no zero within 1e-9 of an edge, on either side of it
+        (w_lo, w_hi), (b_lo, b_hi) = omega_range, beta_range
+        omegas, betas = closed_form_zeros(*thetas, (w_lo - 1e-9, w_hi + 1e-9),
+                                          (b_lo - 1e-9, b_hi + 1e-9))
+        assume(not any(near_edge(w, *omega_range) for w in omegas))
+        assume(not any(near_edge(b, *beta_range) for b in betas))
+        omegas, betas = closed_form_zeros(*thetas, omega_range, beta_range)
+        assert half_wave_frequencies(DEFAULT_MODEL, omega_range) == \
+            pytest.approx(omegas, rel=0.0, abs=1e-12)
+        want = [(w, b) for w in omegas for b in betas]
         hits = find_singularities(DEFAULT_MODEL, omega_range, beta_range,
                                   selection(*thetas))
         assert len(hits) == len(want)
