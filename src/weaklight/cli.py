@@ -41,6 +41,12 @@ _JSON_SUBCOMMANDS = ("pulse", "estimate-beta")
 # sweep rows (or JSON array numbers) formatted per template operation
 _BATCH_ROWS = 4096
 
+# Resource caps: past them a run exits 2 instead of running out of memory.
+# At the measured cost per cell, sample or scan point, a run at its cap
+# peaks under 1 GB of RSS (README, "Resource caps").
+_MAX_CELLS = 4_000_000                                    # omega count x beta count
+_MAX_INTEGER = {"samples": 1 << 20, "scan": 1_000_000}
+
 _DEG = math.pi / 180.0
 _BASIS_LABELS = ("V", "H", "D45", "A135")
 _REQUIRED = object()
@@ -162,6 +168,7 @@ class _Resolver:
         self.args = args
         self.config = config
         self.degrees = degrees
+        self.cells = 1
 
     def pick(self, key, default=None):
         cli = getattr(self.args, key.replace("-", "_"), None)
@@ -206,6 +213,8 @@ class _Resolver:
         scale = _DEG if user and self.degrees and kind.startswith("angle") else 1.0
         if shape == "integer":
             n = self._int(key, value)
+            if n > _MAX_INTEGER.get(key, n):
+                self.parser.error(f"--{key} {n} is above the cap of {_MAX_INTEGER[key]}")
             return n, str(n)
         if shape == "number":
             x = self._float(key, value) * scale
@@ -221,6 +230,11 @@ class _Resolver:
             n = self._int(key, parts[2])
             if n < 2:
                 self.parser.error(f"--{key}: grid size must be at least 2")
+            # checked before any grid is allocated
+            self.cells *= n
+            if self.cells > _MAX_CELLS:
+                self.parser.error(f"--{key}: {self.cells} sweep cells (omega count x "
+                                  f"beta count), above the cap of {_MAX_CELLS}")
         if not lo < hi:
             self.parser.error(
                 f"--{key}: empty {'range' if grid else 'interval'} {lo!r}:{hi!r}")
@@ -317,43 +331,109 @@ def _command_line(plan):
     return "weaklight " + " ".join(plan.tokens)
 
 
+def _joined(values, sep):
+    """Floats at 17 significant digits joined by ``sep``.
+
+    Each batch of values is one ``%`` operation on a ``%.17g`` template,
+    which formats exactly like ``format(x, ".17g")``.
+    """
+    parts = []
+    for start in range(0, values.shape[0], _BATCH_ROWS):
+        batch = values[start:start + _BATCH_ROWS].tolist()
+        parts.append(sep.join(["%.17g"] * len(batch)) % tuple(batch))
+    return sep.join(parts)
+
+
+def _strings(values):
+    """The ``%.17g`` string of each float."""
+    return _joined(values, ",").split(",")
+
+
 def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
     """A sweep CSV as text chunks: the header, then rows in fixed-size batches.
 
-    Each batch is one ``%`` operation on a ``%.17g`` template, which formats
-    exactly like ``format(x, ".17g")``.  ``arg_t`` replaces the table's
+    The table is row-major over (omega, beta) with beta fastest, as
+    ``contour_grid`` and ``sweep_angle`` return it.  Each batch of rows is one
+    ``%`` operation on a ``%.17g`` template, which formats exactly like
+    ``format(x, ".17g")``.  An axis value that several rows share is
+    formatted apart and baked into the templates: on a grid each beta once
+    and each omega once per batch that its rows reach, and the one beta of a
+    spectrum or the one omega of an angle sweep once; the other axis of those
+    two is formatted with the T columns.  ``arg_t`` replaces the table's
     column of that name; on singular rows the fields indexed by ``blank``
-    are left empty.
+    (omega is 0) are left empty.
     """
     yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
-    columns = (table.omega, table.beta, table.re_t, table.im_t, table.abs_t,
-               table.arg_t if arg_t is None else arg_t, table.group_delay)
-    ok = "%.17g," * len(columns) + "false\n"
-    sing = "".join("," if k in blank else "%.17g," for k in range(len(columns))) + "true\n"
-    n = table.singular.shape[0]
+    n, nb = table.singular.shape[0], table.shape[-1]
+    one_omega, one_beta = n == nb, nb == 1
+    grid = not (one_omega or one_beta)
+    # the fields that the % operation formats, indexed as in the row: omega
+    # and beta only where each row has its own
+    fields = [] if grid else [k for k, shared in ((0, one_omega), (1, one_beta)) if not shared]
+    fields += [2, 3, 4, 5, 6]
+    columns = [(table.omega, table.beta, table.re_t, table.im_t, table.abs_t,
+                table.arg_t if arg_t is None else arg_t, table.group_delay)[k] for k in fields]
+    blank_values = [i for i, k in enumerate(fields) if k in blank]
+    # what follows the beta field
+    ok = "," + "%.17g," * 5 + "false\n"
+    sing = "," + "".join("," if k in blank else "%.17g," for k in range(2, 7)) + "true\n"
+    if grid:
+        beta_axis = _strings(table.beta[:nb])
+    else:
+        omega = _strings(table.omega[:1])[0] if one_omega else "%.17g"
+        beta = _strings(table.beta[:1])[0] if one_beta else "%.17g"
+        ok, sing = f"{omega},{beta}{ok}", f"{omega},{beta}{sing}"
     for start in range(0, n, _BATCH_ROWS):
         stop = min(start + _BATCH_ROWS, n)
         values = np.column_stack([c[start:stop] for c in columns])
         flags = table.singular[start:stop]
-        if not flags.any():
-            yield (ok * (stop - start)) % tuple(values.ravel().tolist())
-            continue
-        keep = np.ones(values.shape, dtype=bool)
-        keep[np.ix_(flags, blank)] = False
-        template = "".join([sing if f else ok for f in flags.tolist()])
-        yield template % tuple(values[keep].tolist())
+        any_singular = flags.any()
+        if not grid:
+            template = ("".join(map((ok, sing).__getitem__, flags.tolist())) if any_singular
+                        else ok * (stop - start))
+        else:
+            first, last = start // nb, (stop - 1) // nb
+            pieces = []
+            for i, omega in enumerate(_strings(table.omega[first * nb:last * nb + 1:nb]), first):
+                lo, hi = max(start, i * nb), min(stop, (i + 1) * nb)   # rows of block i
+                betas = beta_axis[lo - i * nb:hi - i * nb]
+                head = omega + ","
+                if any_singular:
+                    pieces += [head + b + (sing if f else ok)
+                               for b, f in zip(betas, flags[lo - start:hi - start].tolist())]
+                else:
+                    pieces.append(head + (ok + head).join(betas) + ok)
+            template = "".join(pieces)
+        if any_singular:
+            keep = np.ones(values.shape, dtype=bool)
+            keep[np.ix_(flags, blank_values)] = False
+            values = values[keep]
+        yield template % tuple(values.ravel().tolist())
 
 
 def _float_array(values):
-    """A JSON array of floats, formatted in batches with one ``%.17g`` template each."""
-    parts = []
-    for start in range(0, values.shape[0], _BATCH_ROWS):
-        batch = values[start:start + _BATCH_ROWS].tolist()
-        parts.append(", ".join(["%.17g"] * len(batch)) % tuple(batch))
-    return "[" + ", ".join(parts) + "]"
+    """A JSON array of floats at 17 significant digits."""
+    return "[" + _joined(values, ", ") + "]"
+
+
+class _JSONText(str):
+    """Text that is already a JSON value."""
+
+
+def _time_axis(grid):
+    """``_float_array(grid.times())``, formatting each |m|*dt once.
+
+    The times are m*dt for m = -n/2 .. n/2-1, and (-m)*dt is -(m*dt) bit for
+    bit, so the negative half is "-" and the string of its magnitude.
+    """
+    half = grid.n // 2
+    mags = _strings(np.arange(half + 1) * grid.time_step)
+    return _JSONText("[-" + ", -".join(mags[half:0:-1]) + ", " + ", ".join(mags[:half]) + "]")
 
 
 def _json_value(obj):
+    if isinstance(obj, _JSONText):
+        return obj
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         return _float_array(obj)
     if obj is None:
@@ -441,7 +521,7 @@ def _render(plan):
                 "energy_transmission": report.energy_transmission,
                 "predicted_group_delay": report.predicted_group_delay,
             },
-            "times": grid.times(),
+            "times": _time_axis(grid),
             "input_intensity": in_intensity,
             "output_intensity": out_intensity,
         }

@@ -67,6 +67,10 @@ class SpectralGrid:
         return (np.arange(self.n) - self.n // 2) * self.time_step
 
 
+def _sum_squares(z):
+    return float(np.sum(z.real**2 + z.imag**2))
+
+
 def _half_shift(x):
     return np.roll(x, x.shape[0] // 2)
 
@@ -98,12 +102,20 @@ class PulseField:
         temporal = np.asarray(self.temporal, dtype=np.complex128).copy()
         if spectral.shape != (self.grid.n,) or temporal.shape != (self.grid.n,):
             raise ValueError("spectral and temporal arrays must have grid length")
-        e_spec = float(np.sum(spectral.real**2 + spectral.imag**2)) * self.grid.delta_omega
-        e_temp = float(np.sum(temporal.real**2 + temporal.imag**2)) * self.grid.time_step
-        scale = max(e_spec, e_temp)
-        if scale > 0.0 and abs(e_spec - e_temp) > 1e-9 * scale:
-            raise ValueError(
-                f"spectral/temporal pair violates Parseval: {e_spec!r} vs {e_temp!r}")
+        # compare the energies of the samples times 2**shift, a power of two
+        # that brings the largest part near 1: exact, and no square of the
+        # samples that carry the energy goes subnormal or overflows
+        peak = max(float(np.max(np.abs(a.view(np.float64)))) for a in (spectral, temporal))
+        if peak > 0.0:
+            shift = -math.frexp(peak)[1]
+            e_spec, e_temp = (
+                _sum_squares(np.ldexp(a.view(np.float64), shift).view(np.complex128)) * step
+                for a, step in ((spectral, self.grid.delta_omega), (temporal, self.grid.time_step)))
+            if abs(e_spec - e_temp) > 1e-9 * max(e_spec, e_temp):
+                with np.errstate(over="ignore"):
+                    e_spec, e_temp = (float(np.ldexp(e, -2 * shift)) for e in (e_spec, e_temp))
+                raise ValueError(
+                    f"spectral/temporal pair violates Parseval: {e_spec!r} vs {e_temp!r}")
         spectral.setflags(write=False)
         temporal.setflags(write=False)
         object.__setattr__(self, "spectral", spectral)
@@ -114,12 +126,10 @@ class PulseField:
         return self.grid.time_step
 
     def spectral_energy(self):
-        return float(np.sum(self.spectral.real**2 + self.spectral.imag**2)) \
-            * self.grid.delta_omega
+        return _sum_squares(self.spectral) * self.grid.delta_omega
 
     def temporal_energy(self):
-        return float(np.sum(self.temporal.real**2 + self.temporal.imag**2)) \
-            * self.grid.time_step
+        return _sum_squares(self.temporal) * self.grid.time_step
 
     @classmethod
     def from_spectral(cls, grid, spectral):

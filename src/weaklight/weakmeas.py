@@ -388,6 +388,9 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
 
 _COLUMNS = ("omega", "beta", "re_t", "im_t", "abs_t", "arg_t", "group_delay", "singular")
 
+# samples per libm atan2 slice: bounds the Python floats alive at once
+_ATAN2_SLICE = 1 << 16
+
 
 class SampleTable(Sequence):
     """Read-only sweep samples held as columns; items are TransferSamples.
@@ -433,7 +436,8 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
     The arithmetic follows the scalar path (weak_flight_value and the null
     check) operation for operation, so every column matches it bitwise.
     ``arg_t`` stays libm atan2 per element: numpy's arctan2 may differ from
-    it in the last ulp.
+    it in the last ulp; it is mapped slice by slice into a preallocated
+    array, so only one slice of Python floats is alive at a time.
     """
     den = tre * tre + tim * tim
     abs_t = np.sqrt(den)
@@ -441,7 +445,13 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
     with np.errstate(divide="ignore", invalid="ignore"):
         gd = (nre * tre + nim * tim) / den
     gd[singular] = math.nan
-    arg_t = np.fromiter(map(math.atan2, tim.tolist(), tre.tolist()), float, tre.shape[0])
+    n = tre.shape[0]
+    arg_t = np.empty(n)
+    for start in range(0, n, _ATAN2_SLICE):
+        stop = min(start + _ATAN2_SLICE, n)
+        arg_t[start:stop] = np.fromiter(
+            map(math.atan2, tim[start:stop].tolist(), tre[start:stop].tolist()),
+            float, stop - start)
     return SampleTable(shape, {
         "omega": omega, "beta": beta, "re_t": tre, "im_t": tim, "abs_t": abs_t,
         "arg_t": arg_t, "group_delay": gd, "singular": singular})

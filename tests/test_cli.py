@@ -338,6 +338,19 @@ USAGE_ERRORS = [
     (["contour"], '{"omgea": "0.9:1.1:2"}', "--config: contour has no flag --omgea"),
     (["contour"], '{"scan": 40}', "--config: contour has no flag --scan"),
     (["spectrum"], '{"config": "run.json"}', "--config: spectrum has no flag --config"),
+    # resource caps: exit 2 before a grid of the capped size is allocated
+    (["contour", "--omega", "0.5:1.5:100000", "--beta", "0:1:100000"], None,
+     "--beta: 10000000000 sweep cells (omega count x beta count), above the cap of 4000000"),
+    (["contour", "--omega", "0.5:1.5:2000", "--beta", "0:1:2001"], None,
+     "--beta: 4002000 sweep cells (omega count x beta count), above the cap of 4000000"),
+    (["spectrum", "--omega", "0.5:1.5:1000000000000"], None,
+     "--omega: 1000000000000 sweep cells (omega count x beta count), above the cap of 4000000"),
+    (["angle-sweep"], '{"beta": "0:1:4000001"}',
+     "--beta: 4000001 sweep cells (omega count x beta count), above the cap of 4000000"),
+    (["pulse", "--samples", "2097152"], None, "--samples 2097152 is above the cap of 1048576"),
+    (["pulse"], '{"samples": 1099511627776}',
+     "--samples 1099511627776 is above the cap of 1048576"),
+    (["singularities", "--scan", "1000001"], None, "--scan 1000001 is above the cap of 1000000"),
 ]
 
 MODEL_HELP = [
@@ -388,6 +401,16 @@ class TestContract:
             parse(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"weaklight: error: {message}"
+
+    @pytest.mark.parametrize("argv", [
+        ["contour", "--omega", "0.5:1.5:1001", "--beta", "0:3.141592653589793:1001"],
+        ["contour", "--omega", "0.5:1.5:2000", "--beta", "0:1:2000"],
+        ["pulse", "--samples", "1048576"],
+        ["singularities", "--scan", "1000000"],
+    ])
+    def test_caps_admit_their_limit(self, argv):
+        # parsing allocates only the axes; nothing here is run at the limit
+        parse(argv)
 
     @pytest.mark.parametrize("name", sorted(test_golden.CASES))
     def test_header_tokens_round_trip(self, name, monkeypatch):

@@ -103,6 +103,22 @@ class TestTransformPair:
         with pytest.raises(ValueError, match="Parseval"):
             PulseField(GRID, spec, 2.0 * _synthesis(GRID, spec))
 
+    # squares of these samples are subnormal, zero or infinite as doubles
+    EXTREME = [1e-158, 1e-160, 1e-170, 1e-200, 1e-300, 1e160, 1e200, 1e300]
+
+    @pytest.mark.parametrize("magnitude", EXTREME)
+    def test_extreme_magnitudes_pass(self, magnitude):
+        grid = SpectralGrid(64, 1.0, 0.64)
+        for make in (PulseField.from_spectral, PulseField.from_temporal):
+            make(grid, np.full(64, magnitude, complex))
+
+    @pytest.mark.parametrize("magnitude", EXTREME)
+    def test_extreme_mismatch_rejected(self, magnitude):
+        grid = SpectralGrid(64, 1.0, 0.64)
+        spec = np.full(64, magnitude, complex)
+        with pytest.raises(ValueError, match="Parseval"):
+            PulseField(grid, spec, 2.0 * _synthesis(grid, spec))
+
 
 class TestGaussianPulse:
     def test_unit_energy(self):
