@@ -90,11 +90,11 @@ def _run(root, argv, out_path):
     return wall, usage.ru_maxrss / 1024.0, size, digest.hexdigest()
 
 
-def record(checkouts, cases, repeat, workdir):
-    rows = {(label, case): {"checkout": label, "case": case, "argv": CASES[case],
+def record(checkouts, repeat, workdir):
+    rows = {(label, case): {"checkout": label, "case": case, "argv": argv,
                             "wall_s": [], "peak_rss_mb": []}
-            for case in cases for label, _, _, _ in checkouts}
-    for case in cases:
+            for case, argv in CASES.items() for label, _, _, _ in checkouts}
+    for case in CASES:
         for _ in range(repeat):
             for label, root, _, _ in checkouts:
                 row = rows[(label, case)]
@@ -117,18 +117,13 @@ def main(argv=None):
     p.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT[@SHA]")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--repeat", type=int, default=3, help="runs per case and checkout")
-    p.add_argument("--cases", default=",".join(CASES),
-                   help=f"comma-separated subset of {', '.join(CASES)}")
-    p.add_argument("--workdir", default=None, help="directory for the run outputs")
     args = p.parse_args(argv)
-    cases = args.cases.split(",")
-    unknown = [c for c in cases if c not in CASES]
-    if unknown or args.repeat < 1:
-        p.error(f"unknown cases {unknown}" if unknown else "--repeat must be at least 1")
+    if args.repeat < 1:
+        p.error("--repeat must be at least 1")
     checkouts = [_checkout(spec) for spec in args.checkouts]
-    with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
+    with tempfile.TemporaryDirectory() as workdir:
         try:
-            rows = record(checkouts, cases, args.repeat, workdir)
+            rows = record(checkouts, args.repeat, workdir)
         except RuntimeError as exc:
             print(f"record: {exc}", file=sys.stderr)
             return 1
@@ -141,7 +136,7 @@ def main(argv=None):
         "checkouts": {label: {"sha": sha, "uncommitted_src_changes": dirty}
                       for label, _, sha, dirty in checkouts},
         "outputs_match": {case: len({r["sha256"] for r in rows if r["case"] == case}) == 1
-                          for case in cases},
+                          for case in CASES},
         "runs": rows,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -416,24 +416,35 @@ def _float_array(values):
     return "[" + _joined(values, ", ") + "]"
 
 
-class _JSONText(str):
-    """Text that is already a JSON value."""
+@dataclass(frozen=True)
+class _TimeAxis:
+    """A pulse grid's time axis, formatted only when the document is written."""
+
+    grid: SpectralGrid
 
 
 def _time_axis(grid):
     """``_float_array(grid.times())``, formatting each |m|*dt once.
 
     The times are m*dt for m = -n/2 .. n/2-1, and (-m)*dt is -(m*dt) bit for
-    bit, so the negative half is "-" and the string of its magnitude.
+    bit, so each batch of magnitudes gives its strings to both halves: as
+    they are to the positive half, reversed and after "-" to the negative.
     """
     half = grid.n // 2
-    mags = _strings(np.arange(half + 1) * grid.time_step)
-    return _JSONText("[-" + ", -".join(mags[half:0:-1]) + ", " + ", ".join(mags[:half]) + "]")
+    negative, positive = [], []
+    for start in range(0, half + 1, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, half + 1)
+        mags = _strings(np.arange(start, stop) * grid.time_step)
+        if start < half:
+            positive.append(", ".join(mags[:half - start]))
+        if stop > 1:
+            negative.append("-" + ", -".join(reversed(mags[1:] if start == 0 else mags)))
+    return "[" + ", ".join(negative[::-1] + positive) + "]"
 
 
 def _json_value(obj):
-    if isinstance(obj, _JSONText):
-        return obj
+    if isinstance(obj, _TimeAxis):
+        return _time_axis(obj.grid)
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         return _float_array(obj)
     if obj is None:
@@ -521,7 +532,7 @@ def _render(plan):
                 "energy_transmission": report.energy_transmission,
                 "predicted_group_delay": report.predicted_group_delay,
             },
-            "times": _time_axis(grid),
+            "times": _TimeAxis(grid),
             "input_intensity": in_intensity,
             "output_intensity": out_intensity,
         }

@@ -71,6 +71,12 @@ def _sum_squares(z):
     return float(np.sum(z.real**2 + z.imag**2))
 
 
+def _scaled_sum_squares(x, shift):
+    """Sum of squares of the float array x times 2**shift."""
+    y = np.ldexp(x, shift)
+    return float(np.dot(y, y))
+
+
 def _half_shift(x):
     return np.roll(x, x.shape[0] // 2)
 
@@ -105,12 +111,12 @@ class PulseField:
         # compare the energies of the samples times 2**shift, a power of two
         # that brings the largest part near 1: exact, and no square of the
         # samples that carry the energy goes subnormal or overflows
-        peak = max(float(np.max(np.abs(a.view(np.float64)))) for a in (spectral, temporal))
+        parts = [a.view(np.float64) for a in (spectral, temporal)]
+        peak = max(max(float(x.max()), -float(x.min())) for x in parts)
         if peak > 0.0:
             shift = -math.frexp(peak)[1]
-            e_spec, e_temp = (
-                _sum_squares(np.ldexp(a.view(np.float64), shift).view(np.complex128)) * step
-                for a, step in ((spectral, self.grid.delta_omega), (temporal, self.grid.time_step)))
+            e_spec, e_temp = (_scaled_sum_squares(x, shift) * step for x, step in
+                              zip(parts, (self.grid.delta_omega, self.grid.time_step)))
             if abs(e_spec - e_temp) > 1e-9 * max(e_spec, e_temp):
                 with np.errstate(over="ignore"):
                     e_spec, e_temp = (float(np.ldexp(e, -2 * shift)) for e in (e_spec, e_temp))

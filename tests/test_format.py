@@ -71,7 +71,7 @@ def test_sweep_rows_match_naive_formatting(data, omegas, betas, flat, blank, row
 
 @settings(max_examples=60, deadline=None)
 @given(bits=st.integers(6, 16), span=st.floats(1e-6, 1e6),
-       rows=st.sampled_from([7, 4096, cli._BATCH_ROWS]))
+       rows=st.sampled_from([1, 7, 4096, cli._BATCH_ROWS]))
 def test_time_axis_matches_float_array(bits, span, rows):
     grid = SpectralGrid(2 ** bits, 1.0, span)
     text = with_batch_rows(rows, cli._time_axis, grid)
