@@ -427,19 +427,11 @@ def _time_axis(grid):
     """``_float_array(grid.times())``, formatting each |m|*dt once.
 
     The times are m*dt for m = -n/2 .. n/2-1, and (-m)*dt is -(m*dt) bit for
-    bit, so each batch of magnitudes gives its strings to both halves: as
-    they are to the positive half, reversed and after "-" to the negative.
+    bit, so the negative half is "-" and the string of its magnitude.
     """
     half = grid.n // 2
-    negative, positive = [], []
-    for start in range(0, half + 1, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, half + 1)
-        mags = _strings(np.arange(start, stop) * grid.time_step)
-        if start < half:
-            positive.append(", ".join(mags[:half - start]))
-        if stop > 1:
-            negative.append("-" + ", -".join(reversed(mags[1:] if start == 0 else mags)))
-    return "[" + ", ".join(negative[::-1] + positive) + "]"
+    mags = _strings(np.arange(half + 1) * grid.time_step)
+    return "[-" + ", -".join(mags[half:0:-1]) + ", " + ", ".join(mags[:half]) + "]"
 
 
 def _json_value(obj):
