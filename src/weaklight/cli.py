@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _g17
 from .crystal import TAU_TE_DEFAULT, TAU_TM_DEFAULT, LinearDispersion, load_tabulated
 from .errors import PostselectionNull
 from .jones import basis_state, linear_state
@@ -38,8 +39,10 @@ _SWEEP_COLUMNS = "omega,beta,re_t,im_t,abs_t,arg_t,group_delay,singular"
 _SINGULARITY_COLUMNS = "omega,beta,residual_abs_t"
 _JSON_SUBCOMMANDS = ("pulse", "estimate-beta")
 
-# sweep rows (or JSON array numbers) formatted per template operation
+# sweep rows (or JSON array numbers) formatted per batch
 _BATCH_ROWS = 4096
+# the flag field of a sweep row, indexed by its singular flag
+_FLAGS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 
 # Resource caps: past them a run exits 2 instead of running out of memory.
 # At the measured cost per cell, sample or scan point, a run at its cap
@@ -331,89 +334,43 @@ def _command_line(plan):
     return "weaklight " + " ".join(plan.tokens)
 
 
-def _joined(values, sep):
-    """Floats at 17 significant digits joined by ``sep``.
-
-    Each batch of values is one ``%`` operation on a ``%.17g`` template,
-    which formats exactly like ``format(x, ".17g")``.
-    """
-    parts = []
-    for start in range(0, values.shape[0], _BATCH_ROWS):
-        batch = values[start:start + _BATCH_ROWS].tolist()
-        parts.append(sep.join(["%.17g"] * len(batch)) % tuple(batch))
-    return sep.join(parts)
-
-
-def _strings(values):
-    """The ``%.17g`` string of each float."""
-    return _joined(values, ",").split(",")
-
-
 def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
     """A sweep CSV as text chunks: the header, then rows in fixed-size batches.
 
     The table is row-major over (omega, beta) with beta fastest, as
-    ``contour_grid`` and ``sweep_angle`` return it.  Each batch of rows is one
-    ``%`` operation on a ``%.17g`` template, which formats exactly like
-    ``format(x, ".17g")``.  An axis value that several rows share is
-    formatted apart and baked into the templates: on a grid each beta once
-    and each omega once per batch that its rows reach, and the one beta of a
-    spectrum or the one omega of an angle sweep once; the other axis of those
-    two is formatted with the T columns.  ``arg_t`` replaces the table's
-    column of that name; on singular rows the fields indexed by ``blank``
-    (omega is 0) are left empty.
+    ``contour_grid`` and ``sweep_angle`` return it.  Each batch formats its
+    T columns, and each distinct omega and beta that its rows reach once,
+    into ``_g17`` slot rows; a row is the slots of its seven fields, each
+    with its comma, and its flag.  ``arg_t`` replaces the table's column of
+    that name; on singular rows the fields indexed by ``blank`` (omega is
+    0) are left empty.
     """
     yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
     n, nb = table.singular.shape[0], table.shape[-1]
-    one_omega, one_beta = n == nb, nb == 1
-    grid = not (one_omega or one_beta)
-    # the fields that the % operation formats, indexed as in the row: omega
-    # and beta only where each row has its own
-    fields = [] if grid else [k for k, shared in ((0, one_omega), (1, one_beta)) if not shared]
-    fields += [2, 3, 4, 5, 6]
-    columns = [(table.omega, table.beta, table.re_t, table.im_t, table.abs_t,
-                table.arg_t if arg_t is None else arg_t, table.group_delay)[k] for k in fields]
-    blank_values = [i for i, k in enumerate(fields) if k in blank]
-    # what follows the beta field
-    ok = "," + "%.17g," * 5 + "false\n"
-    sing = "," + "".join("," if k in blank else "%.17g," for k in range(2, 7)) + "true\n"
-    if grid:
-        beta_axis = _strings(table.beta[:nb])
-    else:
-        omega = _strings(table.omega[:1])[0] if one_omega else "%.17g"
-        beta = _strings(table.beta[:1])[0] if one_beta else "%.17g"
-        ok, sing = f"{omega},{beta}{ok}", f"{omega},{beta}{sing}"
+    columns = (table.re_t, table.im_t, table.abs_t,
+               table.arg_t if arg_t is None else arg_t, table.group_delay)
+    blank = [k - 2 for k in blank]
     for start in range(0, n, _BATCH_ROWS):
         stop = min(start + _BATCH_ROWS, n)
-        values = np.column_stack([c[start:stop] for c in columns])
+        rows = np.arange(stop - start)
+        # row r holds omega r // nb and beta r % nb
+        first = start // nb
+        omega = _g17.slots(table.omega[first * nb:(stop - 1) // nb * nb + 1:nb], b",")
+        reach = min(stop - start, nb)
+        beta = _g17.slots(table.beta[(start + rows[:reach]) % nb], b",")
+        t = _g17.slots(np.column_stack([c[start:stop] for c in columns]).ravel(), b",")
+        t = t.reshape(stop - start, len(columns), -1)
         flags = table.singular[start:stop]
-        any_singular = flags.any()
-        if not grid:
-            template = ("".join(map((ok, sing).__getitem__, flags.tolist())) if any_singular
-                        else ok * (stop - start))
-        else:
-            first, last = start // nb, (stop - 1) // nb
-            pieces = []
-            for i, omega in enumerate(_strings(table.omega[first * nb:last * nb + 1:nb]), first):
-                lo, hi = max(start, i * nb), min(stop, (i + 1) * nb)   # rows of block i
-                betas = beta_axis[lo - i * nb:hi - i * nb]
-                head = omega + ","
-                if any_singular:
-                    pieces += [head + b + (sing if f else ok)
-                               for b, f in zip(betas, flags[lo - start:hi - start].tolist())]
-                else:
-                    pieces.append(head + (ok + head).join(betas) + ok)
-            template = "".join(pieces)
-        if any_singular:
-            keep = np.ones(values.shape, dtype=bool)
-            keep[np.ix_(flags, blank_values)] = False
-            values = values[keep]
-        yield template % tuple(values.ravel().tolist())
+        t[np.flatnonzero(flags)[:, None], blank, :_g17.WIDTH] = 0
+        yield _g17.text(np.hstack([omega[(start + rows) // nb - first], beta[rows % reach],
+                                   t.reshape(stop - start, -1), _FLAGS[flags.view(np.uint8)]]))
 
 
 def _float_array(values):
-    """A JSON array of floats at 17 significant digits."""
-    return "[" + _joined(values, ", ") + "]"
+    """A JSON array of floats at 17 significant digits, formatted batch by batch."""
+    text = "".join(_g17.text(_g17.slots(values[start:start + _BATCH_ROWS], b", "))
+                   for start in range(0, values.shape[0], _BATCH_ROWS))
+    return "[" + text[:-2] + "]"
 
 
 @dataclass(frozen=True)
@@ -427,11 +384,18 @@ def _time_axis(grid):
     """``_float_array(grid.times())``, formatting each |m|*dt once.
 
     The times are m*dt for m = -n/2 .. n/2-1, and (-m)*dt is -(m*dt) bit for
-    bit, so the negative half is "-" and the string of its magnitude.
+    bit, so a negative time is "-" and the slots of its magnitude.
     """
     half = grid.n // 2
-    mags = _strings(np.arange(half + 1) * grid.time_step)
-    return "[-" + ", -".join(mags[half:0:-1]) + ", " + ", ".join(mags[:half]) + "]"
+    negative, positive = [], []
+    for start in range(0, half + 1, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, half + 1)
+        mags = _g17.slots(np.arange(start, stop) * grid.time_step, b", ")
+        positive.append(_g17.text(mags[:half - start]))
+        mags = mags[max(1 - start, 0):][::-1]
+        mags[:, 0] = ord("-")
+        negative.append(_g17.text(mags))
+    return "[" + "".join(negative[::-1] + positive)[:-2] + "]"
 
 
 def _json_value(obj):

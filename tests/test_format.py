@@ -1,9 +1,18 @@
-"""Property tests of the CLI's 17-digit text: the sweep rows and the pulse time axis.
+"""Property tests of the CLI's 17-digit text: the number formatter, the sweep rows
+and the pulse time axis.
 
-The formatters bake shared axis strings into their templates; these tests
-hold them to naive references that format every field with
-``format(x, ".17g")``, across batch sizes.
+``_g17`` formats float64 arrays with numpy; its text is held to
+``"%.17g" % x`` on raw bit patterns, on families where the decimal exponent
+or the rounding is hard (powers of ten and two and their neighbours,
+subnormals, the fixed/e-style boundaries), on a large seeded sample, and on
+the values it hands to its ``%`` fallback.  The sweep rows, which format
+each shared axis value once per batch, and the pulse time axis, which
+formats each magnitude once, are held to naive references that format every
+field with ``format(x, ".17g")``, across batch sizes.
 """
+
+import math
+from decimal import Decimal
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weaklight import SpectralGrid
-from weaklight import cli
+from weaklight import _g17, cli
 from weaklight.weakmeas import SampleTable
 
 PLAN = cli.parse(["contour"])
@@ -78,3 +87,82 @@ def test_time_axis_matches_float_array(bits, span, rows):
     assert first_difference(text, cli._float_array(grid.times())) is None
     naive = "[" + ", ".join(format(t, ".17g") for t in grid.times().tolist()) + "]"
     assert first_difference(text, naive) is None
+
+
+def g17_strings(values):
+    return _g17.text(_g17.slots(np.asarray(values, dtype=np.float64), b"\n")).split("\n")[:-1]
+
+
+def assert_formats_like_percent(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = g17_strings(values)
+    want = ["%.17g" % x for x in values.tolist()]
+    wrong = [(x.hex(), g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not wrong, f"{len(wrong)} of {len(want)} differ, first {wrong[:3]}"
+
+
+def neighbours(values, steps=2):
+    """The values and their ``steps`` nearest floats on each side, as one array."""
+    out = [values]
+    down = up = values
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=_g17._SHORT, max_size=128))
+def test_g17_raw_bit_patterns(patterns):
+    # both signs: the top bit is drawn with the rest
+    assert_formats_like_percent(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_g17_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = neighbours(powers, steps=3)
+    assert_formats_like_percent(np.concatenate([values, -values]))
+
+
+def test_g17_powers_of_two_and_subnormals():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    subnormals = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 1e-310, 3.7e-320])
+    values = np.concatenate([neighbours(powers[1:-1], steps=1), subnormals,
+                             np.arange(1, 4096).view(np.float64), [0.0, -0.0]])
+    assert_formats_like_percent(np.concatenate([values, -values]))
+
+
+def test_g17_fixed_and_exponent_boundaries():
+    # %g switches to e-style below 1e-4 and from 1e17 on; 1e16..1e17 prints 17 digits
+    edges = np.array([1e-5, 1e-4, 1e-3, 0.1, 1.0, 10.0, 1e15, 1e16, 1e17, 1e18,
+                      9.99995e-5, 99999999999999999.0, 0.5, 1.5, 123.0, 100.0])
+    values = neighbours(edges, steps=4)
+    assert_formats_like_percent(np.concatenate([values, -values, values * 7, values / 3]))
+
+
+def test_g17_seeded_sample():
+    rng = np.random.default_rng(20260)
+    bits = rng.integers(0, 2 ** 63, 100_000, dtype=np.int64).view(np.float64)
+    scaled = rng.normal(size=60_000) * 10.0 ** rng.integers(-30, 30, 60_000)
+    # few significant digits, which the formatter must strip to
+    scale = 10.0 ** rng.integers(0, 6, 40_000)
+    short = np.round(rng.uniform(-1e4, 1e4, 40_000) * scale) / scale
+    values = np.concatenate([bits, -bits[:50_000], scaled, short])[:200_000]
+    assert values.shape == (200_000,)
+    assert_formats_like_percent(values)
+
+
+def test_g17_fallback_values():
+    # exact 17-digit ties (an odd and an even last digit), zeros, magnitudes
+    # outside [1e-270, 1e270], NaN and infinities
+    ties = np.array([2.0 ** -25, 123456789012345.375, 123456789012345.125,
+                     12345678901234.5625])
+    # exactly 18 significant digits, the last a 5
+    assert all(Decimal(x).as_tuple().digits[17:] == (5,) for x in ties.tolist())
+    outside = np.array([0.0, 1e-271, 9.9e-271, 1e-300, 1.5e271, 1e300, 1.7976931348623157e308,
+                        math.nan, math.inf])
+    assert not _g17._decimal(np.abs(ties))[2].any()
+    # in an array long enough for the numpy path
+    assert_formats_like_percent(np.concatenate([ties, -ties, outside, -outside,
+                                                np.linspace(1.0, 2.0, _g17._SHORT)]))
+    assert g17_strings([-math.nan, math.nan, -0.0]) == ["nan", "nan", "-0"]
