@@ -191,9 +191,43 @@ def _cos_sin_table(values):
 
 
 def _beta_weights(betas, pair):
-    p1, p2 = np.array([_weights(b, pair) for b in betas.tolist()], dtype=complex).T
-    return (np.ascontiguousarray(p1.real), np.ascontiguousarray(p1.imag),
-            np.ascontiguousarray(p2.real), np.ascontiguousarray(p2.imag))
+    """``_weights`` over a beta array as (p1.real, p1.imag, p2.real, p2.imag).
+
+    Float arrays repeat CPython's complex arithmetic operation for operation,
+    so each element matches ``_weights`` bitwise, signed zeros included: a
+    float c times a complex a is (c*a.real - 0.0*a.imag, c*a.imag +
+    0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
+    a.real*b.imag + a.imag*b.real).
+    """
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("beta must be finite")
+    c, s = _cos_sin_table(betas)
+
+    # in place where the rounding is the same, so that few arrays are alive at once
+    def scaled(t, a):
+        re = t * a.real
+        re -= 0.0 * a.imag
+        im = t * a.imag
+        im += 0.0 * a.real
+        return re, im
+
+    def rotated(a, b, op):
+        # c a + s b, or c a - s b
+        (re, im), (sre, sim) = scaled(c, a), scaled(s, b)
+        return op(re, sre, out=re), op(im, sim, out=im)
+
+    def conj_times(w, v):
+        (wre, wim), (vre, vim) = w, v
+        wim = -wim
+        re = wre * vre
+        re -= wim * vim
+        im = wre * vim
+        im += wim * vre
+        return re, im
+
+    f, i = pair.psi_f, pair.psi_in
+    p1 = conj_times(rotated(f.a1, f.a2, np.add), rotated(i.a1, i.a2, np.add))
+    return p1 + conj_times(rotated(f.a2, f.a1, np.subtract), rotated(i.a2, i.a1, np.subtract))
 
 
 def _grids(model, omegas, betas, pair, with_delay=False):

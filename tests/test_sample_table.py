@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_pair
 from weaklight import (
     DEFAULT_MODEL,
     PostselectionNull,
@@ -145,3 +146,25 @@ class TestLibmTables:
             want = (p1.real, p1.imag, p2.real, p2.imag)
             assert all(same(col[i], w) for col, w in zip(columns, want))
         assert all(col.flags.c_contiguous for col in columns)
+
+    def test_beta_weights_bitwise_equal_to_weights(self):
+        # every basis and linear pair, elliptical pairs, and betas where the
+        # products hit signed zeros (0, -0, multiples of pi/2)
+        rng = np.random.default_rng(8)
+        states = ["V", "H", "D45", "A135", 0.3, -1.1, 0.0, PI / 2]
+        pairs = [selection(a, b) for a in states for b in states]
+        pairs += [random_pair(rng) for _ in range(16)]
+        betas = np.concatenate([[0.0, -0.0, PI / 4, PI / 2, -PI / 2, PI, -PI, 2 * PI,
+                                 1e-300, -5e-324, 1e300],
+                                np.linspace(-7.0, 7.0, 401), rng.normal(size=400) * 10])
+        for pair in pairs:
+            columns = _beta_weights(betas, pair)
+            for i, b in enumerate(betas.tolist()):
+                p1, p2 = _weights(b, pair)
+                want = (p1.real, p1.imag, p2.real, p2.imag)
+                assert all(same(col[i], w) for col, w in zip(columns, want)), (pair, b)
+
+    def test_beta_weights_reject_nonfinite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _beta_weights(np.array([0.0, bad]), VV)
