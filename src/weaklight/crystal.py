@@ -6,6 +6,11 @@ TE/TM phase slopes of 10*pi and 9*pi with zero offsets, so the TE-TM phase
 difference is pi*omega and the plate acts as a half-wave plate exactly at
 omega = 1, 3, 5, ...  TE is the slow axis by convention; swapping the axes is
 a model-parameter change, not a code change.
+
+Tabulated models are interpolated by the monotone piecewise cubic of Fritsch
+and Carlson (PCHIP), built and evaluated here with numpy alone.  Its
+coefficients, and its values at one frequency or at an array of them, equal
+scipy's ``PchipInterpolator`` bit for bit; the tests check this.
 """
 
 import math
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .jones import PolarizationOperator, rotation
 
@@ -73,9 +77,10 @@ class TabulatedDispersion:
     """Sampled birefringence, interpolated by a monotone piecewise cubic.
 
     The derivative used for group delays is the analytic derivative of the
-    interpolant, so phases and delays stay mutually consistent.  Arrays are
-    evaluated by scipy; single frequencies by ``_piece``, which repeats
-    scipy's arithmetic on the same coefficients without its per-call cost.
+    interpolant, so phases and delays stay mutually consistent.  Both come
+    from one coefficient table per axis (``_pchip``): arrays are evaluated by
+    ``_pieces`` on the table and single frequencies by ``_piece`` on a list
+    copy of it, with the same interval search and term order.
     """
 
     omega_samples: np.ndarray
@@ -102,22 +107,56 @@ class TabulatedDispersion:
         object.__setattr__(self, "omega_samples", w)
         object.__setattr__(self, "phi_te_samples", te)
         object.__setattr__(self, "phi_tm_samples", tm)
-        pte = PchipInterpolator(w, te)
-        ptm = PchipInterpolator(w, tm)
-        object.__setattr__(self, "_phi_te", pte)
-        object.__setattr__(self, "_phi_tm", ptm)
-        dte = pte.derivative()
-        dtm = ptm.derivative()
-        object.__setattr__(self, "_dphi_te", dte)
-        object.__setattr__(self, "_dphi_tm", dtm)
-        object.__setattr__(self, "_knots", pte.x.tolist())
-        object.__setattr__(self, "_phi_coeffs", (_intervals(pte), _intervals(ptm)))
-        object.__setattr__(self, "_dphi_coeffs", (_intervals(dte), _intervals(dtm)))
+        phi = (_pchip(w, te), _pchip(w, tm))
+        dphi = tuple(np.stack((c[1], 2.0 * c[2], 3.0 * c[3])) for c in phi)
+        object.__setattr__(self, "_knots", w.tolist())
+        object.__setattr__(self, "_phi_table", phi)
+        object.__setattr__(self, "_dphi_table", dphi)
+        object.__setattr__(self, "_phi_coeffs", tuple(c.tolist() for c in phi))
+        object.__setattr__(self, "_dphi_coeffs", tuple(c.tolist() for c in dphi))
 
 
-def _intervals(pp):
-    """A PPoly's coefficients as one list per interval, lowest power first."""
-    return pp.c[::-1].T.tolist()
+def _pchip(x, y):
+    """PCHIP coefficients of y(x): one row per power, lowest first, one column per interval.
+
+    The knot slopes, the end slopes and the cubic terms are computed
+    operation by operation as scipy's ``PchipInterpolator`` computes them
+    (``_find_derivatives``, ``_edge_case`` and ``CubicHermiteSpline``), so
+    the table equals scipy's ``c[::-1]`` bit for bit.  Two knots give the
+    straight line through them.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.empty_like(y)
+    if y.size == 2:
+        d[:] = m[0]
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        # divisions by a zero slope land only where flat is true; a slope so
+        # small that w1 / m overflows gives the slope 0.0 there, as in scipy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+
+
+def _end_slope(h0, h1, m0, m1):
+    """The one-sided three-point slope at an end knot, limited to keep the data's shape.
+
+    h0 and m0 are the width and slope of the end interval, h1 and m1 those
+    of its neighbour.
+    """
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 DispersionModel = Union[LinearDispersion, TabulatedDispersion]
@@ -146,19 +185,33 @@ def _check_omega(model, omega):
 def _piece(knots, coeffs, omega):
     """Each piecewise polynomial of ``coeffs`` at one in-domain omega, as scipy's PPoly computes it.
 
-    The interval search is scipy's ``find_interval`` (knots[i] <= omega <
-    knots[i + 1], the last interval closed on the right) and the sum follows
-    its ``evaluate_poly1`` term by term, so the result matches the array path
-    bitwise.
+    ``coeffs`` holds one table per polynomial, one row per power (lowest
+    first) and one entry per interval.  The interval search is scipy's
+    ``find_interval``: knots[i] <= omega < knots[i + 1], the last interval
+    closed on the right.
     """
     i = min(bisect_right(knots, omega), len(knots) - 1) - 1
-    s = omega - knots[i]
+    return _sums(coeffs, i, omega - knots[i])
+
+
+def _pieces(knots, coeffs, w):
+    """``_piece`` at every omega of the in-domain array ``w``, with the same bits."""
+    i = np.minimum(np.searchsorted(knots, w, side="right"), knots.size - 1) - 1
+    return _sums(coeffs, i, w - knots[i])
+
+
+def _sums(coeffs, i, s):
+    """Each polynomial of ``coeffs`` on interval ``i``, ``s`` past its left knot.
+
+    The terms are summed in the order of scipy's ``evaluate_poly1``, from
+    0.0, so a -0.0 constant term sums to 0.0.
+    """
     out = []
     for c in coeffs:
         res = 0.0
         z = 1.0
-        for ck in c[i]:
-            res = res + ck * z
+        for ck in c:
+            res = res + ck[i] * z
             z = z * s
         out.append(res)
     return tuple(out)
@@ -173,8 +226,8 @@ def phases(model, omega):
     return _piece(model._knots, model._phi_coeffs, omega)
 
 
-def phase_arrays(model, omegas):
-    """Vectorized phases(); same domain rules, returns two float arrays."""
+def _check_omegas(model, omegas):
+    """``omegas`` as a float array; it must be nonempty, finite and in the model's domain."""
     w = np.asarray(omegas, dtype=float)
     if w.size == 0:
         raise ValueError("omega array must be nonempty")
@@ -188,11 +241,16 @@ def phase_arrays(model, omegas):
                 f"omega range [{wmin:g}, {wmax:g}] outside tabulated "
                 f"range [{lo:g}, {hi:g}]")
         raise ValueError(f"omega must be nonnegative, got minimum {wmin!r}")
+    return w
+
+
+def phase_arrays(model, omegas):
+    """Vectorized phases(); same domain rules, returns two float arrays."""
+    w = _check_omegas(model, omegas)
     if isinstance(model, LinearDispersion):
         return (model.tau_te * w + model.phi0_te,
                 model.tau_tm * w + model.phi0_tm)
-    return (np.asarray(model._phi_te(w), dtype=float),
-            np.asarray(model._phi_tm(w), dtype=float))
+    return _pieces(model.omega_samples, model._phi_table, w)
 
 
 def group_delays(model, omega):
@@ -204,12 +262,11 @@ def group_delays(model, omega):
 
 
 def delay_arrays(model, omegas):
-    """Vectorized eigen-delays on the model's closed domain."""
-    w = np.asarray(omegas, dtype=float)
+    """Vectorized group_delays(); same domain rules, returns two float arrays."""
+    w = _check_omegas(model, omegas)
     if isinstance(model, LinearDispersion):
         return (np.full(w.shape, model.tau_te), np.full(w.shape, model.tau_tm))
-    return (np.asarray(model._dphi_te(w), dtype=float),
-            np.asarray(model._dphi_tm(w), dtype=float))
+    return _pieces(model.omega_samples, model._dphi_table, w)
 
 
 def _bisect_root(fun, a, b, fa, tol=0.0):

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 __all__ = [
     "PolarizationState",
     "PolarizationOperator",
-    "IDENTITY",
-    "SIGMA_X",
-    "SIGMA_Z",
     "basis_state",
     "linear_state",
     "rotation",
@@ -76,9 +73,6 @@ class PolarizationState:
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
-    def components(self):
-        return (self.a1, self.a2)
-
 
 @dataclass(frozen=True)
 class PolarizationOperator:
@@ -110,13 +104,6 @@ class PolarizationOperator:
             self.m12.conjugate(), self.m22.conjugate(),
         )
 
-    def entries(self):
-        return (self.m11, self.m12, self.m21, self.m22)
-
-
-IDENTITY = PolarizationOperator(1.0, 0.0, 0.0, 1.0)
-SIGMA_X = PolarizationOperator(0.0, 1.0, 1.0, 0.0)
-SIGMA_Z = PolarizationOperator(1.0, 0.0, 0.0, -1.0)
 
 _BASIS = {
     "V": (1.0, 0.0),

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ class TestProcessLevel:
         second = run_cli(*tokens)
         assert second.returncode == 0
         assert second.stdout.decode("utf-8") == out1.read_text(encoding="utf-8")
+
+    def test_runs_without_scipy(self):
+        # numpy is the only runtime dependency; scipy serves the tests alone
+        code = ("import sys, weaklight, weaklight.cli\n"
+                "model = weaklight.load_tabulated('tests/golden/disp.csv')\n"
+                "weaklight.group_delay(model, 0.9, 0.5, weaklight.selection('V', 'V'))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             cwd=Path(__file__).resolve().parent.parent)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == b"[]\n"
 
     def test_unknown_flag_exits_2(self):
         out = run_cli("contour", "--omeega", "0:1:5")

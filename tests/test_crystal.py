@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,20 @@ from weaklight import (
     load_tabulated,
     phases,
 )
-from weaklight.crystal import delay_arrays
+from weaklight.crystal import delay_arrays, phase_arrays
 
 PI = math.pi
 
 RAMP = TabulatedDispersion(np.array([0.0, 2.0]), np.array([0.0, 4.0]),
                            np.array([0.0, 2.0]))
+
+TABLE = load_tabulated(Path(__file__).resolve().parent / "golden" / "disp.csv")
+
+
+def error_message(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestPhases:
@@ -76,6 +85,26 @@ class TestGroupDelays:
         for omega in (np.nextafter(0.0, -1.0), np.nextafter(2.0, 3.0)):
             with pytest.raises(ValueError, match="outside tabulated range"):
                 group_delays(RAMP, omega)
+
+    def test_delay_arrays_domain(self):
+        # the rules of phase_arrays(): nonempty, finite, inside the closed
+        # table range or nonnegative; no extrapolated delays
+        lo, hi = 0.25, 1.75
+        te, tm = delay_arrays(TABLE, [lo, hi])
+        assert list(zip(te.tolist(), tm.tolist())) == [group_delays(TABLE, lo),
+                                                       group_delays(TABLE, hi)]
+        for model, omegas, words in (
+                (TABLE, [5.0, -1.0], "outside tabulated range"),
+                (TABLE, [1.0, np.nextafter(hi, 2.0)], "outside tabulated range"),
+                (TABLE, [np.nextafter(lo, 0.0)], "outside tabulated range"),
+                (DEFAULT_MODEL, [1.0, -0.5], "nonnegative"),
+                (DEFAULT_MODEL, [1.0, math.nan], "finite"),
+                (TABLE, [math.inf, 1.0], "finite"),
+                (DEFAULT_MODEL, [], "nonempty"),
+                (TABLE, [], "nonempty")):
+            message = error_message(delay_arrays, model, omegas)
+            assert words in message
+            assert message == error_message(phase_arrays, model, omegas)
 
     def test_fd_slope_matches(self):
         h = 1e-5
