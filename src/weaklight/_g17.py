@@ -140,9 +140,14 @@ def _decimal(ax):
     return d, k + carry, ok
 
 
+def _at(out, rows):
+    """The index of the slot rows ``rows`` of ``out``, counted in C order."""
+    return (rows,) if out.ndim == 2 else np.unravel_index(rows, out.shape[:-1])
+
+
 def _layout(out, ax):
-    """Write the digits, point, lead and exponent of each ``ax`` into its row
-    of ``out``; returns where that text is exact."""
+    """Write the digits, point, lead and exponent of each value of the flat
+    array ``ax`` into its row of ``out``; returns where that text is exact."""
     fast = (ax >= 1e-270) & (ax <= 1e270)
     d, big_x, ok = _decimal(np.where(fast, ax, 1.0))
     lead = d // 10 ** 16
@@ -159,34 +164,41 @@ def _layout(out, ax):
     fixed = (big_x >= -4) & (big_x < 17)
     below_one = fixed & (big_x < 0)
     shown = np.where(fixed & ~below_one, np.maximum(ndig, big_x + 1), ndig)
-    out[:, _DIGIT:_EXP:2] = np.take(_KEEP, shown, axis=0) & chars
+    shape = out.shape[:-1]
+    out[..., _DIGIT:_EXP:2] = (np.take(_KEEP, shown, axis=0) & chars).reshape(shape + (17,))
     # the decimal point goes before digit X + 1 (fixed) or digit 1 (e-style)
     point = np.where(fixed, big_x + 1, 1)
     rows = np.flatnonzero(~below_one & (ndig > point))
-    out[rows, _DIGIT - 1 + 2 * point[rows]] = _DOT
-    out[:, 1:_DIGIT] = np.take(_LEADS, np.where(below_one, -big_x, 0), axis=0)
+    out[_at(out, rows) + (_DIGIT - 1 + 2 * point[rows],)] = _DOT
+    out[..., 1:_DIGIT] = np.take(_LEADS, np.where(below_one, -big_x, 0),
+                                 axis=0).reshape(shape + (5,))
     rows = np.flatnonzero(~fixed)
-    out[rows, _EXP:WIDTH] = np.take(_EXPONENTS, big_x[rows] - _EXPONENT_MIN, axis=0)
+    out[_at(out, rows) + (slice(_EXP, WIDTH),)] = np.take(
+        _EXPONENTS, big_x[rows] - _EXPONENT_MIN, axis=0)
     return ok & fast
 
 
-def slots(values, tail=b""):
-    """The ``%.17g`` slot rows of a 1-D float64 array, ``tail`` after each.
+def slots(values, tail=b"", out=None):
+    """The ``%.17g`` slot rows of a float64 array, ``tail`` after each.
 
-    Returns a C-contiguous uint8 array of shape ``(len(values), WIDTH +
-    len(tail))``; ``text`` turns it into the values' text.
+    Fills and returns ``out``, a uint8 array of shape ``values.shape +
+    (WIDTH + len(tail),)`` that may be a view into a larger one, or else a
+    new C-contiguous array; ``text`` turns slot rows into the values' text.
     """
     x = np.asarray(values, dtype=np.float64)
-    out = np.zeros((x.shape[0], WIDTH + len(tail)), np.uint8)
-    out[:, WIDTH:] = np.frombuffer(tail, np.uint8)
-    ax = np.abs(x)
-    ok = _layout(out, ax) if x.shape[0] >= _SHORT else np.zeros(x.shape[0], bool)
+    if out is None:
+        out = np.zeros(x.shape + (WIDTH + len(tail),), np.uint8)
+    else:
+        out[...] = 0
+    out[..., WIDTH:] = np.frombuffer(tail, np.uint8)
+    ax = np.abs(x).ravel()
+    ok = _layout(out, ax) if ax.shape[0] >= _SHORT else np.zeros(ax.shape[0], bool)
     rows = np.flatnonzero(~ok)
     if rows.size:
         text = ("%.17g," * rows.size % tuple(ax[rows].tolist())).encode()
-        out[rows, 1:WIDTH] = np.array(text.split(b",")[:-1], dtype=f"S{WIDTH - 1}")[
-            :, None].view(np.uint8)
-    out[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), _MINUS, 0)
+        out[_at(out, rows) + (slice(1, WIDTH),)] = np.array(
+            text.split(b",")[:-1], dtype=f"S{WIDTH - 1}")[:, None].view(np.uint8)
+    out[..., 0] = np.where(np.signbit(x) & ~np.isnan(x), _MINUS, 0)
     return out
 
 

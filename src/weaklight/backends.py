@@ -8,7 +8,9 @@
 
 ``fft_butterflies(re, im, tw_re, tw_im)``
     in-place radix-2 Cooley-Tukey butterflies on bit-reversal-permuted data;
-    ``tw`` holds exp(-2*pi*i*k/n) for k < n/2.
+    ``tw`` holds exp(-2*pi*i*k/n) for k < n/2.  Every product and sum is
+    written into three preallocated n/2 scratch arrays, so a stage allocates
+    nothing.
 """
 
 import numpy as np
@@ -34,24 +36,47 @@ def bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im):
     out_im[:, :] = q1re * aim + q1im * are + q2re * bim + q2im * bre
 
 
+# stages with fewer twiddles than this run one strided pass per twiddle over
+# all blocks; the others run on (blocks, twiddles) views, whose rows would
+# otherwise hold only 1-4 elements
+_STRIDED_BELOW = 8
+
+
 def fft_butterflies(re, im, tw_re, tw_im):
     n = re.shape[0]
+    scratch = np.empty((3, n // 2))
     m = 2
     while m <= n:
         half = m // 2
         stride = n // m
-        wr = tw_re[::stride][:half]
-        wi = tw_im[::stride][:half]
-        blocks_re = re.reshape(-1, m)
-        blocks_im = im.reshape(-1, m)
-        a_re = blocks_re[:, :half]
-        b_re = blocks_re[:, half:]
-        a_im = blocks_im[:, :half]
-        b_im = blocks_im[:, half:]
-        t_re = b_re * wr - b_im * wi
-        t_im = b_re * wi + b_im * wr
-        b_re[:, :] = a_re - t_re
-        b_im[:, :] = a_im - t_im
-        a_re[:, :] = a_re + t_re
-        a_im[:, :] = a_im + t_im
+        if half < _STRIDED_BELOW:
+            t_re, t_im, u = scratch[:, :stride]
+            for j in range(half):
+                _butterfly(re[j::m], im[j::m], re[j + half::m], im[j + half::m],
+                           tw_re[j * stride], tw_im[j * stride], t_re, t_im, u)
+        else:
+            blocks_re = re.reshape(-1, m)
+            blocks_im = im.reshape(-1, m)
+            _butterfly(blocks_re[:, :half], blocks_im[:, :half],
+                       blocks_re[:, half:], blocks_im[:, half:],
+                       tw_re[::stride][:half], tw_im[::stride][:half],
+                       *scratch.reshape(3, -1, half))
         m *= 2
+
+
+def _butterfly(a_re, a_im, b_re, b_im, wr, wi, t_re, t_im, u):
+    """(a, b) <- (a + b*w, a - b*w) in place, through the scratch arrays t and u.
+
+    The products and sums are those of ``t = b*w`` written out,
+    ``(b_re*wr - b_im*wi, b_re*wi + b_im*wr)``, in that order.
+    """
+    np.multiply(b_re, wr, out=t_re)
+    np.multiply(b_im, wi, out=u)
+    np.subtract(t_re, u, out=t_re)
+    np.multiply(b_re, wi, out=t_im)
+    np.multiply(b_im, wr, out=u)
+    np.add(t_im, u, out=t_im)
+    np.subtract(a_re, t_re, out=b_re)
+    np.subtract(a_im, t_im, out=b_im)
+    np.add(a_re, t_re, out=a_re)
+    np.add(a_im, t_im, out=a_im)

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,9 @@ class RunPlan:
     tokens: list
 
 
-def _build_parser():
-    """The parser, and for each subcommand the long flag names a --config key may use."""
+def _build_parser(names):
+    """The parser with the subparsers of ``names``, and for each of them the
+    long flag names a --config key may use."""
     parser = argparse.ArgumentParser(
         prog="weaklight",
         description="Post-selected birefringent-plate sweeps: transfer "
@@ -132,7 +134,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="SUBCOMMAND")
     config_keys = {}
-    for name, (help_line, flags) in _SUBCOMMANDS.items():
+    for name in names:
+        help_line, flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         keys = config_keys[name] = set()
 
@@ -265,7 +268,11 @@ class _Resolver:
 
 def parse(argv=None):
     """Resolve argv (and any config file) into a RunPlan; exits 2 on usage errors."""
-    parser, config_keys = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run names its subcommand first, and only that subparser is built;
+    # help, a missing or an unknown subcommand get the full parser's messages
+    parser, config_keys = _build_parser(
+        argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS)
     args = parser.parse_args(argv)
 
     config = {}
@@ -339,70 +346,78 @@ def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
 
     The table is row-major over (omega, beta) with beta fastest, as
     ``contour_grid`` and ``sweep_angle`` return it.  Each batch formats its
-    T columns, and each distinct omega and beta that its rows reach once,
-    into ``_g17`` slot rows; a row is the slots of its seven fields, each
-    with its comma, and its flag.  ``arg_t`` replaces the table's column of
-    that name; on singular rows the fields indexed by ``blank`` (omega is
-    0) are left empty.
+    T columns, and each distinct omega that its rows reach once, into
+    ``_g17`` slot rows; the betas are formatted once per table when one
+    batch reaches them all, else per batch.  A row is the slots of its seven
+    fields, each with its comma, and its flag, assembled in one row matrix
+    that every batch reuses.  ``arg_t`` replaces the table's column of that
+    name; on singular rows the fields indexed by ``blank`` (omega is 0) are
+    left empty.
     """
     yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
     n, nb = table.singular.shape[0], table.shape[-1]
     columns = (table.re_t, table.im_t, table.abs_t,
                table.arg_t if arg_t is None else arg_t, table.group_delay)
     blank = [k - 2 for k in blank]
+    width = _g17.WIDTH + 1
+    matrix = np.empty((min(_BATCH_ROWS, n), 7 * width + _FLAGS.shape[1]), np.uint8)
+    betas = _g17.slots(table.beta[:nb], b",") if nb <= _BATCH_ROWS else None
     for start in range(0, n, _BATCH_ROWS):
         stop = min(start + _BATCH_ROWS, n)
-        rows = np.arange(stop - start)
+        rows = matrix[:stop - start]
+        at = np.arange(start, stop)
         # row r holds omega r // nb and beta r % nb
         first = start // nb
         omega = _g17.slots(table.omega[first * nb:(stop - 1) // nb * nb + 1:nb], b",")
-        reach = min(stop - start, nb)
-        beta = _g17.slots(table.beta[(start + rows[:reach]) % nb], b",")
-        t = _g17.slots(np.column_stack([c[start:stop] for c in columns]).ravel(), b",")
-        t = t.reshape(stop - start, len(columns), -1)
+        np.take(omega, at // nb - first, axis=0, out=rows[:, :width])
+        if betas is None:
+            _g17.slots(table.beta[at % nb], b",", out=rows[:, width:2 * width])
+        else:
+            np.take(betas, at % nb, axis=0, out=rows[:, width:2 * width])
+        t = _g17.slots(np.column_stack([c[start:stop] for c in columns]), b",",
+                       out=rows[:, 2 * width:7 * width].reshape(-1, len(columns), width))
         flags = table.singular[start:stop]
         t[np.flatnonzero(flags)[:, None], blank, :_g17.WIDTH] = 0
-        yield _g17.text(np.hstack([omega[(start + rows) // nb - first], beta[rows % reach],
-                                   t.reshape(stop - start, -1), _FLAGS[flags.view(np.uint8)]]))
+        rows[:, 7 * width:] = _FLAGS[flags.view(np.uint8)]
+        yield _g17.text(rows)
 
 
 def _float_array(values):
-    """A JSON array of floats at 17 significant digits, formatted batch by batch."""
-    text = "".join(_g17.text(_g17.slots(values[start:start + _BATCH_ROWS], b", "))
-                   for start in range(0, values.shape[0], _BATCH_ROWS))
-    return "[" + text[:-2] + "]"
-
-
-@dataclass(frozen=True)
-class _TimeAxis:
-    """A pulse grid's time axis, formatted only when the document is written."""
-
-    grid: SpectralGrid
+    """A JSON array of floats at 17 significant digits, as text chunks
+    formatted batch by batch."""
+    yield "["
+    n = values.shape[0]
+    for start in range(0, n, _BATCH_ROWS):
+        text = _g17.text(_g17.slots(values[start:start + _BATCH_ROWS], b", "))
+        yield text if start + _BATCH_ROWS < n else text[:-2]
+    yield "]"
 
 
 def _time_axis(grid):
-    """``_float_array(grid.times())``, formatting each |m|*dt once.
+    """The chunks of ``_float_array(grid.times())``, formatting each |m|*dt once.
 
     The times are m*dt for m = -n/2 .. n/2-1, and (-m)*dt is -(m*dt) bit for
-    bit, so a negative time is "-" and the slots of its magnitude.
+    bit, so a negative time is "-" and the slots of its magnitude.  Batches
+    of magnitudes are formatted from the top down: each writes its negative
+    times at once and keeps the text of its positive ones for after them.
     """
     half = grid.n // 2
-    negative, positive = [], []
-    for start in range(0, half + 1, _BATCH_ROWS):
+    positive = []
+    yield "["
+    for start in reversed(range(0, half + 1, _BATCH_ROWS)):
         stop = min(start + _BATCH_ROWS, half + 1)
         mags = _g17.slots(np.arange(start, stop) * grid.time_step, b", ")
         positive.append(_g17.text(mags[:half - start]))
         mags = mags[max(1 - start, 0):][::-1]
         mags[:, 0] = ord("-")
-        negative.append(_g17.text(mags))
-    return "[" + "".join(negative[::-1] + positive)[:-2] + "]"
+        yield _g17.text(mags)
+    # the top batch holds no positive time when it starts at n/2
+    positive = [text for text in positive if text]
+    positive[0] = positive[0][:-2] + "]"
+    yield from reversed(positive)
 
 
 def _json_value(obj):
-    if isinstance(obj, _TimeAxis):
-        return _time_axis(obj.grid)
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        return _float_array(obj)
     if obj is None:
         return "null"
     if isinstance(obj, float):
@@ -417,9 +432,21 @@ def _json_value(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _json_document(obj):
-    lines = [f"  {json.dumps(k)}: {_json_value(v)}" for k, v in obj.items()]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+def _json_chunks(doc):
+    """A JSON object as text chunks, one member a line.
+
+    A member whose value is an iterator of chunks (a float array) is written
+    as the iterator yields them; any other value is formatted whole.
+    """
+    sep = "{\n"
+    for key, value in doc.items():
+        yield f"{sep}  {json.dumps(key)}: "
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield _json_value(value)
+        sep = ",\n"
+    yield "\n}\n"
 
 
 def _csv_document(plan, columns, rows):
@@ -432,8 +459,8 @@ def _render(plan):
     """Compute a plan's results; returns the output as an iterable of text chunks.
 
     Everything that can fail runs here, before the caller opens the output,
-    so a failed run writes nothing; sweep rows are formatted lazily as the
-    chunks are consumed.
+    so a failed run writes nothing; sweep rows and JSON float arrays are
+    formatted lazily as the chunks are consumed.
     """
     model, pair = plan.model, plan.pair
 
@@ -462,7 +489,7 @@ def _render(plan):
     if plan.subcommand == "estimate-beta":
         beta = estimate_beta(model, plan.omega, pair, plan.tau, plan.bracket_interval)
         if plan.fmt == "json":
-            return [_json_document({"command": _command_line(plan), "beta": beta})]
+            return _json_chunks({"command": _command_line(plan), "beta": beta})
         return [_csv_document(plan, "beta", [_fmt(beta)])]
 
     if plan.subcommand == "pulse":
@@ -488,11 +515,11 @@ def _render(plan):
                 "energy_transmission": report.energy_transmission,
                 "predicted_group_delay": report.predicted_group_delay,
             },
-            "times": _TimeAxis(grid),
-            "input_intensity": in_intensity,
-            "output_intensity": out_intensity,
+            "times": _time_axis(grid),
+            "input_intensity": _float_array(in_intensity),
+            "output_intensity": _float_array(out_intensity),
         }
-        return [_json_document(doc)]
+        return _json_chunks(doc)
 
     raise ValueError(f"unknown subcommand {plan.subcommand!r}")
 

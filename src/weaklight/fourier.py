@@ -25,12 +25,11 @@ _TABLES_CACHED = 8
 
 @lru_cache(maxsize=_TABLES_CACHED)
 def _tables(n):
-    bits = n.bit_length() - 1
-    index = np.arange(n, dtype=np.intp)
-    perm = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        perm |= ((index >> b) & 1) << (bits - 1 - b)
-    angles = [-2.0 * math.pi * k / n for k in range(n // 2)]
+    # reversing the axes of arange(n) as a (2, 2, ..., 2) array reverses the
+    # bits of each index
+    perm = np.arange(n, dtype=np.intp).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
+    # the operations of the scalar -2.0 * math.pi * k / n, in its order
+    angles = (np.arange(n // 2) * (-2.0 * math.pi) / n).tolist()
     tw_re = np.fromiter(map(math.cos, angles), float, n // 2)
     tw_im = np.fromiter(map(math.sin, angles), float, n // 2)
     for arr in (perm, tw_re, tw_im):
@@ -51,8 +50,8 @@ def dft_forward(z):
     n = z.shape[0]
     _check_size(n)
     perm, tw_re, tw_im = _tables(n)
-    re = np.ascontiguousarray(z.real[perm])
-    im = np.ascontiguousarray(z.imag[perm])
+    re = z.real[perm]
+    im = z.imag[perm]
     backends.fft_butterflies(re, im, tw_re, tw_im)
     out = np.empty(n, dtype=np.complex128)
     out.real = re

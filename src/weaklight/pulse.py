@@ -72,9 +72,14 @@ def _sum_squares(z):
 
 
 def _scaled_sum_squares(x, shift):
-    """Sum of squares of the float array x times 2**shift."""
+    """Sum of squares of the float array x times 2**shift.
+
+    A numpy reduction, not ``np.dot``: BLAS dot products go multi-threaded
+    on long vectors, and waking the threads costs more than the sum.
+    """
     y = np.ldexp(x, shift)
-    return float(np.dot(y, y))
+    np.square(y, out=y)
+    return float(y.sum())
 
 
 def _half_shift(x):

@@ -7,6 +7,64 @@ import weaklight
 from weaklight.fourier import _tables, dft_forward, dft_inverse
 
 
+def frozen_butterflies(re, im, tw_re, tw_im):
+    """``backends.fft_butterflies`` as it was before its stages were done in
+    place: the bitwise reference for the transforms."""
+    n = re.shape[0]
+    m = 2
+    while m <= n:
+        half = m // 2
+        stride = n // m
+        wr = tw_re[::stride][:half]
+        wi = tw_im[::stride][:half]
+        blocks_re = re.reshape(-1, m)
+        blocks_im = im.reshape(-1, m)
+        a_re = blocks_re[:, :half]
+        b_re = blocks_re[:, half:]
+        a_im = blocks_im[:, :half]
+        b_im = blocks_im[:, half:]
+        t_re = b_re * wr - b_im * wi
+        t_im = b_re * wi + b_im * wr
+        b_re[:, :] = a_re - t_re
+        b_im[:, :] = a_im - t_im
+        a_re[:, :] = a_re + t_re
+        a_im[:, :] = a_im + t_im
+        m *= 2
+
+
+def frozen_forward(z):
+    n = z.shape[0]
+    bits = n.bit_length() - 1
+    index = np.arange(n, dtype=np.intp)
+    perm = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        perm |= ((index >> b) & 1) << (bits - 1 - b)
+    angles = [-2.0 * math.pi * k / n for k in range(n // 2)]
+    re, im = z.real[perm], z.imag[perm]
+    frozen_butterflies(re, im, np.array([math.cos(a) for a in angles]),
+                       np.array([math.sin(a) for a in angles]))
+    out = np.empty(n, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def frozen_inverse(z):
+    out = np.conjugate(frozen_forward(np.conjugate(z)))
+    out /= z.shape[0]
+    return out
+
+
+def awkward_vector(rng, n):
+    """Complex samples mixing normal, huge, tiny and subnormal parts, and +-0.0."""
+    parts = rng.normal(size=2 * n) * 10.0 ** rng.integers(-300, 250, 2 * n)
+    parts[rng.random(2 * n) < 0.1] = 0.0
+    parts[rng.random(2 * n) < 0.1] = -0.0
+    tiny = rng.random(2 * n) < 0.1
+    parts[tiny] = rng.integers(-2 ** 40, 2 ** 40, int(tiny.sum())) * 5e-324
+    return parts.view(np.complex128)
+
+
 def brute_force_dft(z):
     n = z.shape[0]
     k = np.arange(n)
@@ -62,6 +120,13 @@ class TestDft:
             assert got[0].dtype == np.intp and np.array_equal(got[0], perm)
             assert got[1].tobytes() == tw_re.tobytes()
             assert got[2].tobytes() == tw_im.tobytes()
+
+    def test_bitwise_equal_to_frozen_reference(self):
+        rng = np.random.default_rng(75)
+        for bits in range(1, 17):
+            z = awkward_vector(rng, 1 << bits)
+            assert dft_forward(z).tobytes() == frozen_forward(z).tobytes(), bits
+            assert dft_inverse(z).tobytes() == frozen_inverse(z).tobytes(), bits
 
     def test_table_cache_is_bounded(self):
         assert _tables.cache_parameters()["maxsize"] is not None

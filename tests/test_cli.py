@@ -216,6 +216,14 @@ class TestExecute:
         assert execute(outside) == 2
         assert not out.exists()
 
+    def test_failed_pulse_writes_no_file(self, tmp_path, capsys):
+        # the JSON document is streamed, but the pulse runs before the output opens
+        out = tmp_path / "out.json"
+        wide = parse(["pulse", "--span", "0.64", "--sigma-omega", "0.06", "-o", str(out)])
+        assert execute(wide) == 2
+        assert "12-sigma rule" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProcessLevel:
     def test_byte_identical_reruns(self, tmp_path):

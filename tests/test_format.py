@@ -83,8 +83,8 @@ def test_sweep_rows_match_naive_formatting(data, omegas, betas, flat, blank, row
        rows=st.sampled_from([1, 7, 4096, cli._BATCH_ROWS]))
 def test_time_axis_matches_float_array(bits, span, rows):
     grid = SpectralGrid(2 ** bits, 1.0, span)
-    text = with_batch_rows(rows, cli._time_axis, grid)
-    assert first_difference(text, cli._float_array(grid.times())) is None
+    text = with_batch_rows(rows, lambda: "".join(cli._time_axis(grid)))
+    assert first_difference(text, "".join(cli._float_array(grid.times()))) is None
     naive = "[" + ", ".join(format(t, ".17g") for t in grid.times().tolist()) + "]"
     assert first_difference(text, naive) is None
 
@@ -150,6 +150,20 @@ def test_g17_seeded_sample():
     values = np.concatenate([bits, -bits[:50_000], scaled, short])[:200_000]
     assert values.shape == (200_000,)
     assert_formats_like_percent(values)
+
+
+def test_g17_slots_into_a_view():
+    # a (rows, fields) array written into the middle of a larger row matrix,
+    # as a sweep batch writes its T columns, matches the flat rows around it
+    rng = np.random.default_rng(20261)
+    values = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-20, 20, (40, 5))
+    values[3, 1:4] = [0.0, math.nan, 2.0 ** -25]           # fallback values
+    width = _g17.WIDTH + 1
+    matrix = np.full((40, 7 * width), 7, np.uint8)
+    view = matrix[:, width:6 * width].reshape(40, 5, width)
+    assert _g17.slots(values, b",", out=view) is view
+    assert np.array_equal(view.reshape(200, width), _g17.slots(values.ravel(), b","))
+    assert (matrix[:, :width] == 7).all() and (matrix[:, 6 * width:] == 7).all()
 
 
 def test_g17_fallback_values():
