@@ -272,7 +272,7 @@ def parse(argv=None):
     # a run names its subcommand first, and only that subparser is built;
     # help, a missing or an unknown subcommand get the full parser's messages
     parser, config_keys = _build_parser(
-        argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS)
+        argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS)
     args = parser.parse_args(argv)
 
     config = {}

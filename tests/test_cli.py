@@ -75,6 +75,26 @@ class TestParse:
             parse(["spectrum", "--dispersion-csv", str(tmp_path / "no.csv")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--help"], ["-h", "pulse"]])
+    def test_top_level_messages_name_every_subcommand(self, argv, capsys):
+        # only a run that names its subcommand first builds that subparser alone
+        names = ("contour", "spectrum", "angle-sweep", "pulse", "singularities",
+                 "estimate-beta")
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        assert (out.out + out.err).startswith("usage: weaklight [-h] SUBCOMMAND ...\n")
+        if argv == ["bogus"]:
+            choices = ", ".join(f"'{name}'" for name in names)
+            assert exc.value.code == 2
+            assert f"invalid choice: 'bogus' (choose from {choices})" in out.err
+        elif not argv:
+            assert exc.value.code == 2
+            assert "the following arguments are required: SUBCOMMAND" in out.err
+        else:
+            assert exc.value.code == 0
+            assert all(f"\n    {name}" in out.out for name in names)
+
     def test_pulse_format_locked_to_json(self):
         with pytest.raises(SystemExit) as exc:
             parse(["pulse", "--format", "csv"])
