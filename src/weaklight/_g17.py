@@ -141,8 +141,9 @@ def _decimal(ax):
 
 
 def _at(out, rows):
-    """The index of the slot rows ``rows`` of ``out``, counted in C order."""
-    return (rows,) if out.ndim == 2 else np.unravel_index(rows, out.shape[:-1])
+    """The index of the slot rows ``rows`` of a 2-D or 3-D ``out``, counted in
+    C order."""
+    return (rows,) if out.ndim == 2 else np.divmod(rows, out.shape[1])
 
 
 def _layout(out, ax):
@@ -179,7 +180,7 @@ def _layout(out, ax):
 
 
 def slots(values, tail=b"", out=None):
-    """The ``%.17g`` slot rows of a float64 array, ``tail`` after each.
+    """The ``%.17g`` slot rows of a 1-D or 2-D float64 array, ``tail`` after each.
 
     Fills and returns ``out``, a uint8 array of shape ``values.shape +
     (WIDTH + len(tail),)`` that may be a view into a larger one, or else a
