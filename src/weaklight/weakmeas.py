@@ -464,14 +464,11 @@ class SampleTable(Sequence):
                            {name: col.ravel() for name, col in cols.items()})
 
 
-def _sample_table(shape, omega, beta, tre, tim, nre, nim):
-    """Columns from flat T and weak-value numerator arrays.
+def _delays(tre, tim, nre, nim):
+    """|T|, the singular mask and the group delay (NaN where singular) from T and the numerator.
 
-    The arithmetic follows the scalar path (weak_flight_value and the null
-    check) operation for operation, so every column matches it bitwise.
-    ``arg_t`` stays libm atan2 per element: numpy's arctan2 may differ from
-    it in the last ulp; it is mapped slice by slice into a preallocated
-    array, so only one slice of Python floats is alive at a time.
+    The arithmetic follows ``weak_flight_value`` and the null check operation
+    for operation, so every value matches the scalar path bitwise.
     """
     den = tre * tre + tim * tim
     abs_t = np.sqrt(den)
@@ -479,6 +476,18 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
     with np.errstate(divide="ignore", invalid="ignore"):
         gd = (nre * tre + nim * tim) / den
     gd[singular] = math.nan
+    return abs_t, singular, gd
+
+
+def _sample_table(shape, omega, beta, tre, tim, nre, nim):
+    """Columns from flat T and weak-value numerator arrays.
+
+    ``abs_t``, ``group_delay`` and ``singular`` come from ``_delays``, so
+    every column matches the scalar path bitwise.  ``arg_t`` stays libm atan2 per element: numpy's arctan2 may differ from
+    it in the last ulp; it is mapped slice by slice into a preallocated
+    array, so only one slice of Python floats is alive at a time.
+    """
+    abs_t, singular, gd = _delays(tre, tim, nre, nim)
     n = tre.shape[0]
     arg_t = np.empty(n)
     for start in range(0, n, _ATAN2_SLICE):
@@ -569,32 +578,112 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     return found
 
 
+def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
+    """The one beta in [lo, hi] where the analytic group delay is ``tau_measured``, or None.
+
+    ``phi`` and ``tau`` are the model's phases and group delays at the fixed
+    omega.  For real weights p1 + p2 = c = <psi_f|psi_in> at every beta, so
+    with a = e^{i phi_te} and b = e^{i phi_tm}, T = p1 (a - b) + c b and the
+    weak-value numerator N = p1 (tau_te a - tau_tm b) + c tau_tm b are affine
+    in p1.  The delay is tau_measured exactly where Re(N T*) - tau_measured
+    |T|^2 = 0, a quadratic in the real p1; with u = 1 - cos(phi_te - phi_tm)
+    and s = tau_te + tau_tm - 2 tau_measured it reads
+
+        s u p1^2 + c (tau_te - tau_tm - s u) p1 + c^2 (tau_tm - tau_measured) = 0.
+
+    As 2 p1 = c + k1 cos 2beta + k2 sin 2beta, each root gives beta modulo pi
+    through one acos.  None when the weights are complex (elliptical states),
+    or when not exactly one of these betas lies in [lo, hi].
+    """
+    f1, f2 = pair.psi_f.a1.conjugate(), pair.psi_f.a2.conjugate()
+    a1, a2 = pair.psi_in.a1, pair.psi_in.a2
+    terms = (f1 * a1 + f2 * a2, f1 * a1 - f2 * a2, f1 * a2 + f2 * a1)
+    if any(z.imag != 0.0 for z in terms) or not hi - lo < math.pi:
+        return None
+    c, k1, k2 = (z.real for z in terms)
+    radius = math.hypot(k1, k2)
+    if radius == 0.0:
+        return None
+    tau_te, tau_tm = tau
+    q2 = (tau_te + tau_tm - 2.0 * tau_measured) * 2.0 * math.sin(0.5 * (phi[0] - phi[1])) ** 2
+    q1 = c * (tau_te - tau_tm - q2)
+    q0 = c * c * (tau_tm - tau_measured)
+    if q2 == 0.0:
+        roots = [-q0 / q1] if q1 != 0.0 else []
+    else:
+        disc = q1 * q1 - 4.0 * q2 * q0
+        if disc < 0.0:
+            return None
+        q = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+        roots = [q / q2] + ([q0 / q] if q != 0.0 else [])
+    theta = math.atan2(k2, k1)
+    seeds = []
+    for p1 in roots:
+        v = (2.0 * p1 - c) / radius
+        if not -1.0 <= v <= 1.0:
+            continue
+        for half in (0.5 * (theta + math.acos(v)), 0.5 * (theta - math.acos(v))):
+            # the bracket is narrower than pi: at most one turn of each lands in it
+            beta = half + math.pi * math.ceil((lo - half) / math.pi)
+            if lo <= beta <= hi:
+                seeds.append(beta)
+    return seeds[0] if len(seeds) == 1 else None
+
+
+def _root_near(fun, seed, lo, hi, f_lo, f_hi):
+    """A root of fun in [lo, hi] to adjacent doubles, searched from ``seed``.
+
+    fun(lo) = f_lo and fun(hi) = f_hi have opposite signs.  The bracket starts
+    at seed +- 4 ulps and widens 16-fold until its ends straddle zero; with
+    no seed it is the whole [lo, hi].  Either way ``_bisect_root`` halves it.
+    """
+    step = math.inf if seed is None else 4.0 * math.ulp(seed)
+    while True:
+        a = lo if seed is None else max(lo, seed - step)
+        b = hi if seed is None else min(hi, seed + step)
+        fa = f_lo if a == lo else fun(a)
+        if fa == 0.0:
+            return a
+        fb = f_hi if b == hi else fun(b)
+        if fb == 0.0:
+            return b
+        if (fa < 0.0) != (fb < 0.0):
+            return _bisect_root(fun, a, b, fa)
+        step *= 16.0
+
+
 def estimate_beta(model, omega, pair, tau_measured, bracket):
-    """Invert the plate angle from a measured group delay by bisection.
+    """Invert the plate angle from a measured group delay.
 
     The delay-versus-angle map is two-to-one globally, so the caller-supplied
     bracket is the disambiguation contract: it must sit strictly on one side
     of any singularity, with the delay strictly monotonic across it.  A
-    64-point scan validates this before bisecting to |dbeta| < 1e-12.
+    64-point scan validates this.  For a linear selection pair the angle then
+    comes in closed form (``_closed_form_seed``: a quadratic in the weight
+    p1, then one acos) and is polished by bisection on a few-ulp bracket
+    around it.  Elliptical pairs, and the rare bracket where the closed form
+    does not give exactly one angle, bisect the whole bracket.  Either way
+    the result is a bracket end of an adjacent-doubles sign change of
+    ``group_delay - tau_measured``, or a beta where it is exactly zero.
     """
     tau_measured = float(tau_measured)
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BadBracket(f"bracket ({lo!r}, {hi!r}) is not an increasing interval")
 
-    # One sweep_angle scan gives the same delays as 64 group_delay calls.  The
+    # One array scan gives the same delays as 64 group_delay calls.  The
     # checks those calls make first run here in their order, so a bad omega
     # or an overflowing bracket raises as a per-point scan would.
-    phases(model, omega)
-    group_delays(model, omega)
+    phi = phases(model, omega)
+    tau = group_delays(model, omega)
     grid = np.linspace(lo, hi, 64)
     if math.isnan(grid[0]):
         raise ValueError(f"beta must be finite, got {float(grid[0])!r}")
-    table = sweep_angle(model, omega, grid, pair)
-    if table.singular.any():
-        i = int(np.argmax(table.singular))
+    tre, tim, nre, nim = _grids(model, np.array([float(omega)]), grid, pair, with_delay=True)
+    _, singular, scanned = _delays(tre[:, 0], tim[:, 0], nre[:, 0], nim[:, 0])
+    if singular.any():
+        i = int(np.argmax(singular))
         raise BadBracket(f"bracket contains a postselection null near beta={float(grid[i])!r}")
-    scanned = table.group_delay
     diffs = np.diff(scanned)
     increasing = bool(np.all(diffs > 0.0))
     decreasing = bool(np.all(diffs < 0.0))
@@ -614,7 +703,9 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     f_lo = g_lo - tau_measured
     if f_lo == 0.0:
         return lo
-    if g_hi - tau_measured == 0.0:
+    f_hi = g_hi - tau_measured
+    if f_hi == 0.0:
         return hi
-    return _bisect_root(lambda b: group_delay(model, omega, b, pair) - tau_measured,
-                        lo, hi, f_lo, tol=1e-12)
+    seed = _closed_form_seed(pair, phi, tau, tau_measured, lo, hi)
+    return _root_near(lambda b: group_delay(model, omega, b, pair) - tau_measured,
+                      seed, lo, hi, f_lo, f_hi)

@@ -6,8 +6,11 @@
 every value must be the bits scipy's ``PchipInterpolator`` gives, on the
 golden table and on drawn tables: monotone, turning back, with flat steps
 and with two knots.  ``estimate_beta`` validates its bracket with one
-``sweep_angle`` scan; it must return and raise exactly what the former scan
-of 64 scalar ``group_delay`` calls did, kept below as the reference.
+array scan; it must raise exactly what the former scan of 64 scalar
+``group_delay`` calls did, kept below as the reference, and return the same
+bracket end.  An interior root it takes from a closed form and polishes to
+adjacent doubles, where the reference bisected to |dbeta| < 1e-12, so there
+the two agree to 1e-12 and the result must be a sign change of the delay.
 """
 
 import math
@@ -15,14 +18,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from weaklight import (
     DEFAULT_MODEL,
     BadBracket,
+    PolarizationState,
     PostselectionNull,
+    SelectionPair,
     TabulatedDispersion,
     estimate_beta,
     group_delay,
@@ -31,6 +36,7 @@ from weaklight import (
     phases,
     selection,
 )
+from weaklight import weakmeas
 from weaklight.crystal import delay_arrays, phase_arrays
 
 PI = math.pi
@@ -204,10 +210,47 @@ def outcome(fn, *args):
         return (type(exc), str(exc))
 
 
-def assert_same_outcome(*args):
+def assert_delay_sign_change(model, omega, pair, tau, beta):
+    """group_delay - tau is 0 at beta, or changes sign between beta and an adjacent double."""
+    def f(b):
+        return group_delay(model, omega, b, pair) - tau
+
+    here = f(beta)
+    assert here == 0.0 or any((f(math.nextafter(beta, to)) < 0.0) != (here < 0.0)
+                              for to in (-math.inf, math.inf)), beta
+
+
+def delay_resolution(model, omega, pair, tau, beta, bracket):
+    """The span of beta over which the delay near beta moves by 32 ulps of tau.
+
+    Where the delay is flat in beta (near its extremes) its rounding noise
+    leaves sign changes of group_delay - tau up to about this far apart.
+    """
+    lo, hi = max(bracket[0], beta - 1e-6), min(bracket[1], beta + 1e-6)
+    slope = (group_delay(model, omega, hi, pair) - group_delay(model, omega, lo, pair)) \
+        / (hi - lo)
+    return 32.0 * math.ulp(tau) / abs(slope) if slope else math.inf
+
+
+def assert_same_outcome(model, omega, pair, tau, bracket):
+    """The reference's exception and message, or its bracket end, bit for bit.
+
+    For an interior root: a sign change of the delay within 1e-12 of the
+    reference's answer, or within the delay's resolution where it is flat.
+    """
+    args = (model, omega, pair, tau, bracket)
     want = outcome(estimate_beta_reference, *args)
-    assert outcome(estimate_beta, *args) == want
-    return want
+    got = outcome(estimate_beta, *args)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if want[0] != "value" or float.fromhex(want[1]) in (lo, hi):
+        assert got == want
+        return want
+    assert got[0] == "value"
+    beta = float.fromhex(got[1])
+    assert abs(beta - float.fromhex(want[1])) \
+        <= 1e-12 + delay_resolution(model, omega, pair, float(tau), beta, (lo, hi))
+    assert_delay_sign_change(model, omega, pair, float(tau), beta)
+    return got
 
 
 class TestEstimateBetaMatchesScalarScan:
@@ -291,3 +334,38 @@ class TestEstimateBetaMatchesScalarScan:
         except PostselectionNull:
             tau = 30.0
         assert_same_outcome(model, omega, pair, tau, (lo, hi))
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.sampled_from([DEFAULT_MODEL, TABLE]), omega=st.floats(0.3, 1.7),
+           th_in=st.floats(0.0, PI), th_f=st.floats(0.0, PI), beta=st.floats(0.0, PI),
+           width=st.floats(1e-3, 0.3), where=st.floats(0.0, 1.0),
+           nudge=st.floats(-1e-12, 1e-12), rising=st.booleans())
+    def test_linear_pairs_polish_the_closed_form(self, model, omega, th_in, th_f, beta,
+                                                 width, where, nudge, rising):
+        lo, hi = beta - where * width, beta + (1.0 - where) * width
+        pair = selection(th_in, th_f)
+        # mirroring every angle mirrors the delay curve: the other branch
+        if (group_delay(model, omega, hi, pair) > group_delay(model, omega, lo, pair)) \
+                != rising:
+            th_in, th_f, beta, lo, hi = -th_in, -th_f, -beta, -hi, -lo
+            pair = selection(th_in, th_f)
+        tau = group_delay(model, omega, beta, pair) * (1.0 + nudge)
+        assume(outcome(estimate_beta_reference, model, omega, pair, tau, (lo, hi))[0]
+               == "value")
+        assume((group_delay(model, omega, hi, pair) > group_delay(model, omega, lo, pair))
+               == rising)
+        assert_same_outcome(model, omega, pair, tau, (lo, hi))
+
+    def test_elliptical_pair_bisects_the_bracket(self):
+        # circular in, V out: |T| is 1/sqrt(2) at omega = 1 and the delay is
+        # tau_te cos^2 beta + tau_tm sin^2 beta, falling on (0, pi/2)
+        pair = SelectionPair(PolarizationState(math.sqrt(0.5), 1j * math.sqrt(0.5)),
+                             selection("V", "V").psi_f)
+        tau = group_delay(DEFAULT_MODEL, 1.0, 0.6, pair)
+        assert weakmeas._closed_form_seed(pair, phases(DEFAULT_MODEL, 1.0),
+                                          group_delays(DEFAULT_MODEL, 1.0),
+                                          tau, 0.3, 1.2) is None
+        beta = estimate_beta(DEFAULT_MODEL, 1.0, pair, tau, (0.3, 1.2))
+        assert abs(beta - 0.6) <= 1e-8
+        assert_delay_sign_change(DEFAULT_MODEL, 1.0, pair, tau, beta)
+        assert_same_outcome(DEFAULT_MODEL, 1.0, pair, tau, (0.3, 1.2))
