@@ -496,8 +496,6 @@ def _render(plan):
         grid = SpectralGrid(plan.samples, plan.omega, plan.span)
         pulse_in = gaussian_pulse(grid, plan.sigma_omega)
         pulse_out, report = propagate(model, plan.beta, pair, pulse_in)
-        in_intensity = pulse_in.temporal.real**2 + pulse_in.temporal.imag**2
-        out_intensity = pulse_out.temporal.real**2 + pulse_out.temporal.imag**2
         doc = {
             "command": _command_line(plan),
             "grid": {
@@ -516,8 +514,8 @@ def _render(plan):
                 "predicted_group_delay": report.predicted_group_delay,
             },
             "times": _time_axis(grid),
-            "input_intensity": _float_array(in_intensity),
-            "output_intensity": _float_array(out_intensity),
+            "input_intensity": _float_array(pulse_in.intensity),
+            "output_intensity": _float_array(pulse_out.intensity),
         }
         return _json_chunks(doc)
 

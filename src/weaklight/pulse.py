@@ -13,6 +13,7 @@ intensity peak and the intensity centroid.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,7 @@ class PulseField:
 
     Build through ``from_spectral``/``from_temporal`` (or ``gaussian_pulse``);
     the constructor checks the Parseval pairing rather than recomputing it.
+    Arrays the caller passes in are copied, so the field never aliases them.
     """
 
     grid: SpectralGrid
@@ -109,8 +111,19 @@ class PulseField:
     temporal: np.ndarray
 
     def __post_init__(self):
-        spectral = np.asarray(self.spectral, dtype=np.complex128).copy()
-        temporal = np.asarray(self.temporal, dtype=np.complex128).copy()
+        self._adopt(np.array(self.spectral, dtype=np.complex128),
+                    np.array(self.temporal, dtype=np.complex128))
+
+    @classmethod
+    def _owning(cls, grid, spectral, temporal):
+        """A field that takes over complex arrays no one else holds, without copying them."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._adopt(spectral, temporal)
+        return field
+
+    def _adopt(self, spectral, temporal):
+        """Check the pair and keep the arrays as the field's read-only samples."""
         if spectral.shape != (self.grid.n,) or temporal.shape != (self.grid.n,):
             raise ValueError("spectral and temporal arrays must have grid length")
         # compare the energies of the samples times 2**shift, a power of two
@@ -136,6 +149,13 @@ class PulseField:
     def time_step(self):
         return self.grid.time_step
 
+    @cached_property
+    def intensity(self):
+        """Temporal intensity |u|^2, computed on first use; read-only."""
+        inten = self.temporal.real**2 + self.temporal.imag**2
+        inten.setflags(write=False)
+        return inten
+
     def spectral_energy(self):
         return _sum_squares(self.spectral) * self.grid.delta_omega
 
@@ -144,13 +164,17 @@ class PulseField:
 
     @classmethod
     def from_spectral(cls, grid, spectral):
-        spectral = np.asarray(spectral, dtype=np.complex128)
-        return cls(grid, spectral, _synthesis(grid, spectral))
+        return cls._from_own_spectral(grid, np.array(spectral, dtype=np.complex128))
+
+    @classmethod
+    def _from_own_spectral(cls, grid, spectral):
+        # spectral is a complex array no one else holds; the synthesis is fresh too
+        return cls._owning(grid, spectral, _synthesis(grid, spectral))
 
     @classmethod
     def from_temporal(cls, grid, temporal):
-        temporal = np.asarray(temporal, dtype=np.complex128)
-        return cls(grid, _analysis(grid, temporal), temporal)
+        temporal = np.array(temporal, dtype=np.complex128)
+        return cls._owning(grid, _analysis(grid, temporal), temporal)
 
 
 @dataclass(frozen=True)
@@ -185,7 +209,7 @@ def gaussian_pulse(grid, sigma_omega):
     nu = grid.omegas() - grid.omega_center
     amp = np.exp(-(nu * nu) / (4.0 * sigma * sigma))
     amp /= math.sqrt(float(np.sum(amp * amp)) * grid.delta_omega)
-    return PulseField.from_spectral(grid, amp.astype(np.complex128))
+    return PulseField._from_own_spectral(grid, amp.astype(np.complex128))
 
 
 def peak_time(field):
@@ -193,26 +217,28 @@ def peak_time(field):
 
     Falls back to the raw maximum sample at the array edges or on a flat top.
     """
-    inten = field.temporal.real**2 + field.temporal.imag**2
+    inten = field.intensity
     if not np.any(inten > 0.0):
         raise ValueError("field is identically zero")
     k = int(np.argmax(inten))
-    t = field.grid.times()
+    # grid.times()[k], bit for bit
+    t_k = (k - field.grid.n // 2) * field.time_step
     if 0 < k < inten.shape[0] - 1:
         f_lo, f_mid, f_hi = inten[k - 1], inten[k], inten[k + 1]
         denom = f_lo - 2.0 * f_mid + f_hi
         if denom != 0.0:
             delta = 0.5 * (f_lo - f_hi) / denom
-            return float(t[k] + delta * field.time_step)
-    return float(t[k])
+            return float(t_k + delta * field.time_step)
+    return t_k
 
 
-def _centroid_time(field):
-    inten = field.temporal.real**2 + field.temporal.imag**2
+def _centroid_time(field, times):
+    """Intensity first moment of field; ``times`` is ``field.grid.times()``."""
+    inten = field.intensity
     total = float(np.sum(inten))
     if total == 0.0:
         raise ValueError("field is identically zero")
-    return float(np.sum(field.grid.times() * inten)) / total
+    return float(np.sum(times * inten)) / total
 
 
 def propagate(model, beta, pair, pulse):
@@ -228,14 +254,15 @@ def propagate(model, beta, pair, pulse):
     if bool(np.all(abs_t < SINGULAR_TOL)):
         raise PostselectionNull(
             "transfer function is null across the entire grid support")
-    out = PulseField.from_spectral(grid, t * pulse.spectral)
+    out = PulseField._from_own_spectral(grid, t * pulse.spectral)
     try:
         predicted = group_delay(model, grid.omega_center, beta, pair)
     except PostselectionNull:
         predicted = None
+    times = grid.times()
     report = PropagationReport(
         peak_shift=peak_time(out) - peak_time(pulse),
-        centroid_shift=_centroid_time(out) - _centroid_time(pulse),
+        centroid_shift=_centroid_time(out, times) - _centroid_time(pulse, times),
         energy_transmission=out.spectral_energy() / pulse.spectral_energy(),
         predicted_group_delay=predicted,
     )

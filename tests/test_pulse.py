@@ -120,6 +120,38 @@ class TestTransformPair:
             PulseField(grid, spec, 2.0 * _synthesis(grid, spec))
 
 
+class TestFieldArrays:
+    def test_caller_arrays_are_never_aliased(self):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=GRID.n) + 1j * rng.normal(size=GRID.n)
+        paired = _synthesis(GRID, values)
+        fields = (PulseField(GRID, values, paired), PulseField.from_spectral(GRID, values),
+                  PulseField.from_temporal(GRID, values))
+        kept = [(f.spectral.copy(), f.temporal.copy()) for f in fields]
+        for field in fields:
+            for arr in (field.spectral, field.temporal):
+                assert not arr.flags.writeable
+                assert not np.shares_memory(arr, values) and not np.shares_memory(arr, paired)
+        values[:] = 0.0
+        paired[:] = 0.0
+        for field, (spec, temp) in zip(fields, kept):
+            assert np.array_equal(field.spectral, spec) and np.array_equal(field.temporal, temp)
+
+    def test_intensity_is_computed_once(self):
+        p = gaussian_pulse(GRID, 0.01)
+        assert p.intensity is p.intensity
+        assert not p.intensity.flags.writeable
+        assert p.intensity.tobytes() == intensity(p).tobytes()
+
+    def test_peak_time_reads_the_time_axis(self):
+        out, _ = propagate(DEFAULT_MODEL, 0.253 * PI, VV, gaussian_pulse(GRID, 0.005))
+        t = GRID.times()
+        k = int(np.argmax(intensity(out)))
+        f_lo, f_mid, f_hi = intensity(out)[k - 1:k + 2]
+        delta = 0.5 * (f_lo - f_hi) / (f_lo - 2.0 * f_mid + f_hi)
+        assert peak_time(out) == float(t[k] + delta * GRID.time_step)
+
+
 class TestGaussianPulse:
     def test_unit_energy(self):
         p = gaussian_pulse(GRID, 0.01)
