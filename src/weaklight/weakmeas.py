@@ -483,9 +483,10 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
     """Columns from flat T and weak-value numerator arrays.
 
     ``abs_t``, ``group_delay`` and ``singular`` come from ``_delays``, so
-    every column matches the scalar path bitwise.  ``arg_t`` stays libm atan2 per element: numpy's arctan2 may differ from
-    it in the last ulp; it is mapped slice by slice into a preallocated
-    array, so only one slice of Python floats is alive at a time.
+    every column matches the scalar path bitwise.  ``arg_t`` stays libm
+    atan2 per element: numpy's arctan2 may differ from it in the last ulp;
+    it is mapped slice by slice into a preallocated array, so only one slice
+    of Python floats is alive at a time.
     """
     abs_t, singular, gd = _delays(tre, tim, nre, nim)
     n = tre.shape[0]
@@ -598,14 +599,16 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
     f1, f2 = pair.psi_f.a1.conjugate(), pair.psi_f.a2.conjugate()
     a1, a2 = pair.psi_in.a1, pair.psi_in.a2
     terms = (f1 * a1 + f2 * a2, f1 * a1 - f2 * a2, f1 * a2 + f2 * a1)
-    if any(z.imag != 0.0 for z in terms) or not hi - lo < math.pi:
+    if any(z.imag != 0.0 for z in terms) or hi - lo >= math.pi:
         return None
     c, k1, k2 = (z.real for z in terms)
     radius = math.hypot(k1, k2)
     if radius == 0.0:
         return None
     tau_te, tau_tm = tau
-    q2 = (tau_te + tau_tm - 2.0 * tau_measured) * 2.0 * math.sin(0.5 * (phi[0] - phi[1])) ** 2
+    # u as 2 sin^2(d/2), which keeps its digits where cos d is near 1
+    u = 2.0 * math.sin(0.5 * (phi[0] - phi[1])) ** 2
+    q2 = (tau_te + tau_tm - 2.0 * tau_measured) * u
     q1 = c * (tau_te - tau_tm - q2)
     q0 = c * c * (tau_tm - tau_measured)
     if q2 == 0.0:
@@ -622,7 +625,8 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
         v = (2.0 * p1 - c) / radius
         if not -1.0 <= v <= 1.0:
             continue
-        for half in (0.5 * (theta + math.acos(v)), 0.5 * (theta - math.acos(v))):
+        turn = math.acos(v)
+        for half in (0.5 * (theta + turn), 0.5 * (theta - turn)):
             # the bracket is narrower than pi: at most one turn of each lands in it
             beta = half + math.pi * math.ceil((lo - half) / math.pi)
             if lo <= beta <= hi:
