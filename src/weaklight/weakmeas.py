@@ -594,7 +594,8 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
 
     As 2 p1 = c + k1 cos 2beta + k2 sin 2beta, each root gives beta modulo pi
     through one acos.  None when the weights are complex (elliptical states),
-    or when not exactly one of these betas lies in [lo, hi].
+    when the bracket is pi or wider, or when not exactly one of these betas
+    lies in [lo, hi].
     """
     f1, f2 = pair.psi_f.a1.conjugate(), pair.psi_f.a2.conjugate()
     a1, a2 = pair.psi_in.a1, pair.psi_in.a2
@@ -634,17 +635,16 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
     return seeds[0] if len(seeds) == 1 else None
 
 
-def _root_near(fun, seed, lo, hi, f_lo, f_hi):
-    """A root of fun in [lo, hi] to adjacent doubles, searched from ``seed``.
+def _polish(fun, seed, lo, hi, f_lo, f_hi):
+    """A root of fun in [lo, hi] near ``seed``, to adjacent doubles.
 
     fun(lo) = f_lo and fun(hi) = f_hi have opposite signs.  The bracket starts
-    at seed +- 4 ulps and widens 16-fold until its ends straddle zero; with
-    no seed it is the whole [lo, hi].  Either way ``_bisect_root`` halves it.
+    at seed +- 4 ulps and widens 16-fold, within [lo, hi], until its ends
+    straddle zero; ``_bisect_root`` then halves it.
     """
-    step = math.inf if seed is None else 4.0 * math.ulp(seed)
+    step = 4.0 * math.ulp(seed)
     while True:
-        a = lo if seed is None else max(lo, seed - step)
-        b = hi if seed is None else min(hi, seed + step)
+        a, b = max(lo, seed - step), min(hi, seed + step)
         fa = f_lo if a == lo else fun(a)
         if fa == 0.0:
             return a
@@ -710,6 +710,11 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     f_hi = g_hi - tau_measured
     if f_hi == 0.0:
         return hi
+
+    def fun(b):
+        return group_delay(model, omega, b, pair) - tau_measured
+
     seed = _closed_form_seed(pair, phi, tau, tau_measured, lo, hi)
-    return _root_near(lambda b: group_delay(model, omega, b, pair) - tau_measured,
-                      seed, lo, hi, f_lo, f_hi)
+    if seed is None:
+        return _bisect_root(fun, lo, hi, f_lo)
+    return _polish(fun, seed, lo, hi, f_lo, f_hi)
