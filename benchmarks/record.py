@@ -9,7 +9,8 @@ Run from anywhere; each positional argument names a checkout to measure:
 PYTHONPATH of a fresh ``python -m weaklight`` process for every run.  The SHA
 is read with git when the checkout is a repository; give it after ``@`` for
 an exported tree.  Runs of several checkouts alternate case by case and
-repeat by repeat, so slow drift of the host affects them alike.
+repeat by repeat, and their order reverses from one repeat to the next, so
+slow drift of the host and the order of runs affect them alike.
 
 Each subcommand runs at its default size (``estimate-beta`` with the README's
 example flags), plus a 1001x1001 ``contour``, a 2^18-sample ``pulse``, a
@@ -98,8 +99,9 @@ def record(checkouts, repeat, workdir):
                             "wall_s": [], "peak_rss_mb": []}
             for case, argv in CASES.items() for label, _, _, _ in checkouts}
     for case in CASES:
-        for _ in range(repeat):
-            for label, root, _, _ in checkouts:
+        for i in range(repeat):
+            # the first checkout of one repeat runs last in the next
+            for label, root, _, _ in (checkouts if i % 2 == 0 else checkouts[::-1]):
                 row = rows[(label, case)]
                 wall, rss, size, sha = _run(root, CASES[case], Path(workdir) / "out")
                 if row.setdefault("sha256", sha) != sha or row.setdefault("out_bytes", size) != size:
