@@ -10,7 +10,8 @@ array scan; it must raise exactly what the former scan of 64 scalar
 ``group_delay`` calls did, kept below as the reference, and return the same
 bracket end.  An interior root it takes from a closed form and polishes to
 adjacent doubles, where the reference bisected to |dbeta| < 1e-12, so there
-the two agree to 1e-12 and the result must be a sign change of the delay.
+the two agree to 1e-12, or to the delay's resolution where it is flat in
+beta, and the result must be a sign change of the delay.
 """
 
 import math
