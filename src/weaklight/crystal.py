@@ -245,12 +245,22 @@ def _check_omegas(model, omegas):
 
 
 def phase_arrays(model, omegas):
-    """Vectorized phases(); same domain rules, returns two float arrays."""
+    """Vectorized phases(); same domain rules, returns two float arrays.
+
+    A phase that overflows to a non-finite value raises ValueError naming
+    its omega, as the cos/sin of it would on the scalar path.
+    """
     w = _check_omegas(model, omegas)
-    if isinstance(model, LinearDispersion):
-        return (model.tau_te * w + model.phi0_te,
-                model.tau_tm * w + model.phi0_tm)
-    return _pieces(model.omega_samples, model._phi_table, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, LinearDispersion):
+            pte, ptm = (model.tau_te * w + model.phi0_te,
+                        model.tau_tm * w + model.phi0_tm)
+        else:
+            pte, ptm = _pieces(model.omega_samples, model._phi_table, w)
+    if not (np.isfinite(pte).all() and np.isfinite(ptm).all()):
+        bad = ~(np.isfinite(pte) & np.isfinite(ptm))
+        raise ValueError(f"phase is not finite at omega {float(w[bad][0])!r}")
+    return pte, ptm
 
 
 def group_delays(model, omega):

@@ -2,7 +2,8 @@
 
 The transform is implemented in-artifact (iterative Cooley-Tukey on
 power-of-two sizes) so pulse outputs are bit-reproducible across platforms.
-Twiddle factors come from the C library's cos/sin via the math module.
+Twiddle factors come from the C library's cos/sin, which numpy's float64
+cos/sin call, so they equal ``math.cos``/``math.sin`` of the same angles.
 
 Conventions match the usual DFT pair: forward is
 ``X[k] = sum_j x[j] exp(-2*pi*i*j*k/n)`` and the inverse carries the ``1/n``.
@@ -28,10 +29,14 @@ def _tables(n):
     # reversing the axes of arange(n) as a (2, 2, ..., 2) array reverses the
     # bits of each index
     perm = np.arange(n, dtype=np.intp).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
-    # the operations of the scalar -2.0 * math.pi * k / n, in its order
-    angles = (np.arange(n // 2) * (-2.0 * math.pi) / n).tolist()
-    tw_re = np.fromiter(map(math.cos, angles), float, n // 2)
-    tw_im = np.fromiter(map(math.sin, angles), float, n // 2)
+    # the operations of the scalar -2.0 * math.pi * k / n, in its order; the
+    # angles are built in the sine row and replaced by their sines, so both
+    # tables share one allocation and no float temporary is made
+    tw_re, tw_im = np.empty((2, n // 2))
+    np.multiply(np.arange(n // 2), -2.0 * math.pi, out=tw_im)
+    tw_im /= n
+    np.cos(tw_im, out=tw_re)
+    np.sin(tw_im, out=tw_im)
     for arr in (perm, tw_re, tw_im):
         arr.setflags(write=False)
     return perm, tw_re, tw_im

@@ -182,12 +182,10 @@ def transfer(model, omega, beta, pair):
 
 
 def _cos_sin_table(values):
-    # libm cos/sin per element, matching the scalar path bitwise; numpy's
-    # vectorized trig may differ in the last ulp, so it is avoided here.
-    n = values.shape[0]
-    items = values.tolist()
-    return (np.fromiter(map(math.cos, items), float, n),
-            np.fromiter(map(math.sin, items), float, n))
+    # numpy's float64 cos/sin call the C library's cos/sin, as math.cos and
+    # math.sin do, so each element matches the scalar path bitwise (the tests
+    # pin this on a seeded corpus)
+    return np.cos(values), np.sin(values)
 
 
 def _beta_weights(betas, pair):
@@ -241,9 +239,8 @@ def _grids(model, omegas, betas, pair, with_delay=False):
         raise ValueError("sweep axes must be nonempty")
     if not np.all(np.isfinite(betas)):
         raise ValueError("beta values must be finite")
-    pte, ptm = phase_arrays(model, omegas)
-    cte, ste = _cos_sin_table(pte)
-    ctm, stm = _cos_sin_table(ptm)
+    # the phases are freed once their tables exist, before the kernel runs
+    (cte, ste), (ctm, stm) = map(_cos_sin_table, phase_arrays(model, omegas))
     p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
     shape = (betas.shape[0], omegas.shape[0])
     tre = np.empty(shape)

@@ -236,6 +236,22 @@ class TestExecute:
         assert execute(outside) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, omega", [
+        (["contour", "--omega", "1e307:1e308:3"], "1e+307"),
+        (["spectrum", "--omega", "1e307:1e308:3"], "1e+307"),
+        (["angle-sweep", "--omega", "1e308"], "1e+308"),
+        (["estimate-beta", "--omega", "1e308", "--tau", "54.86", "--bracket", "0.6:0.78"],
+         "1e+308"),
+        (["singularities", "--omega", "1e306:1e308"], "5.95e+306"),
+    ])
+    def test_overflowing_phase_exits_2(self, argv, omega, tmp_path, capsys):
+        # the cos/sin tables would turn an infinite phase into NaN rows
+        out = tmp_path / "out.csv"
+        assert execute(parse(argv + ["-o", str(out)])) == 2
+        err = capsys.readouterr().err
+        assert err == f"weaklight: error: phase is not finite at omega {omega}\n"
+        assert not out.exists()
+
     def test_failed_pulse_writes_no_file(self, tmp_path, capsys):
         # the JSON document is streamed, but the pulse runs before the output opens
         out = tmp_path / "out.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,19 @@ class TestGroupDelays:
             message = error_message(delay_arrays, model, omegas)
             assert words in message
             assert message == error_message(phase_arrays, model, omegas)
+
+    def test_overflowing_phase_arrays_raise(self):
+        # math.cos of an infinite phase raises where np.cos gives NaN, so the
+        # phase arrays refuse it, naming the first such omega, without warnings
+        steep = LinearDispersion(tau_te=1e300, tau_tm=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (error_message(phase_arrays, steep, [1.0, 1e9, 1e10])
+                    == "phase is not finite at omega 1000000000.0")
+            assert (error_message(phase_arrays, DEFAULT_MODEL, [1.0, 1e308])
+                    == "phase is not finite at omega 1e+308")
+            te, tm = phase_arrays(steep, [1.0, 1e8])
+            assert te.tolist() == [1e300, 1e300 * 1e8] and tm.tolist() == [1.0, 1e8]
 
     def test_fd_slope_matches(self):
         h = 1e-5

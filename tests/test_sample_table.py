@@ -20,6 +20,7 @@ from weaklight import (
     sweep_angle,
     transfer,
 )
+from weaklight.fourier import _tables
 from weaklight.weakmeas import SampleTable, _beta_weights, _cos_sin_table, _weights
 
 PI = math.pi
@@ -168,3 +169,51 @@ class TestLibmTables:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 _beta_weights(np.array([0.0, bad]), VV)
+
+    # The grid path takes cos/sin from numpy and the scalar path from the math
+    # module; they agree bitwise because numpy's float64 cos/sin call the C
+    # library's.  These tests fail on a numpy build whose cos/sin are its own.
+
+    def test_cos_sin_table_is_libm_on_a_seeded_corpus(self):
+        rng = np.random.default_rng(12)
+        k = np.arange(-3000, 3001)
+        quarter = k * (PI / 4)
+        exponents = rng.integers(-1074, 1024, 30000)
+        values = np.concatenate([
+            rng.uniform(-10.0, 10.0, 25000),
+            rng.uniform(-1e3, 1e3, 25000),
+            rng.uniform(-1e6, 1e6, 25000),
+            # every binary exponent, subnormals included, both signs
+            np.ldexp(rng.uniform(1.0, 2.0, 30000), exponents) * rng.choice([-1.0, 1.0], 30000),
+            k * (PI / 2),
+            quarter, np.nextafter(quarter, -np.inf), np.nextafter(quarter, np.inf),
+            [0.0, -0.0, 1e308, -1e308]])
+        assert values.size >= 10 ** 5 and np.all(np.isfinite(values))
+        items = values.tolist()
+        want_cos = np.fromiter(map(math.cos, items), float, len(items))
+        want_sin = np.fromiter(map(math.sin, items), float, len(items))
+        cos_arr, sin_arr = _cos_sin_table(values)
+        assert cos_arr.tobytes() == want_cos.tobytes()
+        assert sin_arr.tobytes() == want_sin.tobytes()
+        cos_arr, sin_arr = _cos_sin_table(values[::7])
+        assert cos_arr.tobytes() == want_cos[::7].tobytes()
+        assert sin_arr.tobytes() == want_sin[::7].tobytes()
+
+    def test_dft_twiddles_are_libm(self):
+        for bits in range(1, 21):
+            n = 1 << bits
+            angles = (np.arange(n // 2) * (-2.0 * PI) / n).tolist()
+            _, tw_re, tw_im = _tables.__wrapped__(n)
+            assert tw_re.tobytes() == np.fromiter(map(math.cos, angles), float).tobytes(), n
+            assert tw_im.tobytes() == np.fromiter(map(math.sin, angles), float).tobytes(), n
+
+    def test_arg_t_stays_libm_atan2(self):
+        # numpy's arctan2 is not libm's: on this corpus they differ in places,
+        # and there arg_t must still be math.atan2
+        rng = np.random.default_rng(13)
+        table = sweep_angle(DEFAULT_MODEL, 0.83, rng.uniform(0.0, PI, 20000),
+                            selection(0.3, 1.1))
+        want = np.fromiter(map(math.atan2, table.im_t.tolist(), table.re_t.tolist()), float)
+        differ = np.arctan2(table.im_t, table.re_t).view(np.int64) != want.view(np.int64)
+        assert differ.sum() > 100
+        assert table.arg_t.tobytes() == want.tobytes()

@@ -496,6 +496,11 @@ class TestFindSingularities:
         with pytest.raises(ValueError):
             find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV, tol=0.0)
 
+    def test_overflowing_phase_raises(self):
+        # not [] from a scan of NaN phases
+        with pytest.raises(ValueError, match="phase is not finite at omega"):
+            find_singularities(DEFAULT_MODEL, (1e306, 1e308), (0.0, PI), VV)
+
 
 def closed_form_zeros(theta_in, theta_f, omega_range, beta_range):
     """The omegas and the betas of the zeros of T on DEFAULT_MODEL in a closed window.
