@@ -257,9 +257,9 @@ def phase_arrays(model, omegas):
                         model.tau_tm * w + model.phi0_tm)
         else:
             pte, ptm = _pieces(model.omega_samples, model._phi_table, w)
-    if not (np.isfinite(pte).all() and np.isfinite(ptm).all()):
-        bad = ~(np.isfinite(pte) & np.isfinite(ptm))
-        raise ValueError(f"phase is not finite at omega {float(w[bad][0])!r}")
+    finite = np.isfinite(pte) & np.isfinite(ptm)
+    if not finite.all():
+        raise ValueError(f"phase is not finite at omega {float(w[~finite][0])!r}")
     return pte, ptm
 
 
