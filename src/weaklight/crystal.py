@@ -299,22 +299,72 @@ def _bisect_root(fun, a, b, fa, tol=0.0):
     return 0.5 * (a + b)
 
 
+def _refine_root(fun, a, b, fa, fb):
+    """A root of fun in [a, b], given fun(a) = fa and fun(b) = fb of opposite signs.
+
+    Returns what ``_bisect_root`` returns: a point where fun is exactly zero
+    or an end of an adjacent-doubles sign change.  Steps are false position
+    with the Illinois weighting: the value kept at an end that survives two
+    steps in a row is halved, which converges superlinearly on a smooth
+    simple root.  An interpolated step lands at least two ulps inside the
+    bracket: where rounding leaves an end's value a little off zero, the
+    sign change lies within a few ulps of that end, and a step rounded onto
+    it would gain nothing.  An interpolated step that fails to halve the
+    bracket is followed by a bisection step, so this takes at most about
+    twice as many evaluations as bisection.  fun is called only strictly
+    inside (a, b), and a bracket at most four ulps wide is finished by
+    ``_bisect_root``.
+    """
+    a_negative = fa < 0.0
+    kept = None  # the end the last step kept
+    bisect = False
+    while True:
+        width = b - a
+        margin = 2.0 * math.ulp(max(abs(a), abs(b)))
+        if width <= 2.0 * margin:
+            return _bisect_root(fun, a, b, fa)
+        if bisect:
+            x = 0.5 * (a + b)
+        else:
+            # fa and fb have opposite signs, so fa - fb does not cancel
+            x = a + width * (fa / (fa - fb))
+            if x != x:  # NaN, from an infinite end value
+                x = 0.5 * (a + b)
+            x = min(max(x, a + margin), b - margin)
+        fx = fun(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == a_negative:
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        bisect = not bisect and b - a > 0.5 * width
+
+
 def _scan_roots(fun, grid, values, atol):
     """Ascending roots of fun on [grid[0], grid[-1]] from its values on that grid.
 
     ``values`` is fun on the ascending ``grid``.  A node whose value is within
     ``atol`` (the rounding error of the values) of zero is a root, so a root
     at or within rounding of a node, window ends included, is found once.
-    Between nodes beyond ``atol`` of opposite sign, the root is bisected to
-    adjacent doubles.  Roots that leave two adjacent nodes with the same
-    sign, a tangential root or two roots in one cell, are not found.
+    Between nodes beyond ``atol`` of opposite sign, ``_refine_root`` narrows
+    the cell to an exact zero or an adjacent-doubles sign change; it is given
+    both node values, so a cell's ends cost no evaluation.  Roots that
+    leave two adjacent nodes with the same sign, a tangential root or two
+    roots in one cell, are not found.
     """
     near_zero = np.abs(values) <= atol
     sign = np.where(near_zero, 0.0, np.sign(values))
     roots = grid[near_zero].tolist()
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0).tolist():
-        roots.append(_bisect_root(fun, float(grid[i]), float(grid[i + 1]),
-                                  float(values[i])))
+        roots.append(_refine_root(fun, float(grid[i]), float(grid[i + 1]),
+                                  float(values[i]), float(values[i + 1])))
     return sorted(roots)
 
 
@@ -337,8 +387,9 @@ def half_wave_frequencies(model, omega_range, scan=1000):
     """All omega in the closed range where phi_te - phi_tm is pi modulo 2*pi.
 
     Roots of cos((phi_te - phi_tm)/2) are bracketed on a ``scan``-point grid
-    and bisected to adjacent doubles; a grid node within rounding of a root
-    is returned as it is.  Tangential (double) roots that never change sign
+    and each bracket is narrowed by false position to an adjacent-doubles
+    sign change (``_refine_root``); a grid node within rounding of a root is
+    returned as it is.  Tangential (double) roots that never change sign
     on the scan grid are not detected.
     """
     lo = _finite("omega_range[0]", omega_range[0])

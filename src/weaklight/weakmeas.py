@@ -26,6 +26,7 @@ from .crystal import (
     _ROUNDING,
     _bisect_root,
     _half_wave_roots,
+    _refine_root,
     _scan_roots,
     delay_arrays,
     group_delays,
@@ -120,9 +121,10 @@ class TransferSample:
 class Singularity:
     """A zero of the transfer function, as found by ``find_singularities``.
 
-    ``omega`` and ``beta`` are each bisected to adjacent doubles (or are a
-    scan node within rounding of the root), and ``residual_abs_t`` is |T|
-    there, at rounding level for a simple zero.
+    ``omega`` and ``beta`` are each an end of an adjacent-doubles sign change
+    of their root function, or an exact zero of it, or a scan node within
+    rounding of the root; ``residual_abs_t`` is |T| there, at rounding level
+    for a simple zero.
     """
 
     omega: float
@@ -528,11 +530,13 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     modulo 2*pi, so the search is two one-dimensional root problems: the
     beta roots of the gap on a ``scan``-point beta grid, then at each of them
     the omega roots of cos((phi_te - phi_tm + arg p1 - arg p2)/2) on a
-    ``scan``-point omega grid.  Each sign change is bisected to adjacent
-    doubles and a node within rounding of a root is taken as it is; a point
-    is kept when |T| < tol there.  Roots that leave two adjacent scan nodes
-    with the same sign, a tangential root or two roots in one cell, are
-    missed.
+    ``scan``-point omega grid.  Beta roots with the same offset arg p1 -
+    arg p2 share one omega scan; every linear pair that is not crossed has
+    offset 0.  Each sign change between two nodes is narrowed by false
+    position to adjacent doubles, and a node within rounding of a root is
+    taken as it is; a point is kept when |T| < tol there.  Roots that leave
+    two adjacent scan nodes with the same sign, a tangential root or two
+    roots in one cell, are missed.
 
     Zeros that form lines instead of points raise PostselectionNull: a gap
     within rounding of zero on the whole beta scan (crossed pairs), or a
@@ -563,13 +567,18 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
         return p1.real * p1.real + p1.imag * p1.imag - (p2.real * p2.real + p2.imag * p2.imag)
 
     found = []
+    # omega roots per offset; -0.0 and 0.0 are one key, and cos(-x) = cos(x)
+    # gives them the same roots
+    omega_roots = {}
     for b in _scan_roots(gap, betas, gaps, _ROUNDING):
         p1, p2 = _weights(b, pair)
         if abs(p1) + abs(p2) < tol:
             raise PostselectionNull(
                 f"p1 = p2 = 0 at beta={b!r}: |T| < tol at every omega there")
         offset = cmath.phase(p1) - cmath.phase(p2)
-        for w in _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
+        if offset not in omega_roots:
+            omega_roots[offset] = _half_wave_roots(model, omegas, phase_te, phase_tm, offset)
+        for w in omega_roots[offset]:
             t = transfer(model, w, b, pair)
             residual = math.sqrt(t.real * t.real + t.imag * t.imag)
             if residual < tol:
@@ -665,9 +674,10 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     comes in closed form (``_closed_form_seed``: a quadratic in the weight
     p1, then one acos) and is polished by bisection on a few-ulp bracket
     around it.  Elliptical pairs, and the rare bracket where the closed form
-    does not give exactly one angle, bisect the whole bracket.  Either way
-    the result is a bracket end of an adjacent-doubles sign change of
-    ``group_delay - tau_measured``, or a beta where it is exactly zero.
+    does not give exactly one angle, narrow the whole bracket by false
+    position (``_refine_root``).  Either way the result is a bracket end of
+    an adjacent-doubles sign change of ``group_delay - tau_measured``, or a
+    beta where it is exactly zero.
     """
     tau_measured = float(tau_measured)
     lo, hi = (float(bracket[0]), float(bracket[1]))
@@ -715,5 +725,5 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
 
     seed = _closed_form_seed(pair, phi, tau, tau_measured, lo, hi)
     if seed is None:
-        return _bisect_root(fun, lo, hi, f_lo)
+        return _refine_root(fun, lo, hi, f_lo, f_hi)
     return _polish(fun, seed, lo, hi, f_lo, f_hi)

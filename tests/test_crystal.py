@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from weaklight import (
     load_tabulated,
     phases,
 )
-from weaklight.crystal import delay_arrays, phase_arrays
+from weaklight.crystal import _bisect_root, _refine_root, delay_arrays, phase_arrays
 
 PI = math.pi
 
@@ -163,6 +164,75 @@ class TestHalfWaveFrequencies:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             half_wave_frequencies(DEFAULT_MODEL, (1.0, 1.0))
+
+
+def sign_noise(x):
+    """A deterministic pseudo-random value in [-1e-13, 1e-13) for each double x."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    mixed = (bits * 0x9E3779B97F4A7C15) % 2 ** 64
+    return 1e-13 * ((mixed >> 11) / 2.0 ** 52 - 1.0)
+
+
+# (name, fun, a, b): fun(a) and fun(b) have opposite signs
+PATHOLOGICAL_BRACKETS = [
+    ("step without a zero", lambda x: -1.0 if x < 0.3 else 1.0, 0.1, 0.8),
+    ("ninth power", lambda x: (x - 0.3) ** 9, -1.0, 2.0),
+    ("steep expm1", lambda x: math.expm1(200.0 * (x - 0.3)), 0.0, 1.0),
+    ("steep tanh at 0", lambda x: math.tanh(1e6 * x), -0.3, 0.7),
+    ("values near 1e-300", lambda x: 1e-300 * (x * x - 0.09), 0.1, 0.8),
+    ("sign noise of 1e-13", lambda x: (x - 0.3) + sign_noise(x), 0.1, 0.8),
+]
+
+
+class TestRefineRoot:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("name, fun, a, b", PATHOLOGICAL_BRACKETS,
+                             ids=[case[0] for case in PATHOLOGICAL_BRACKETS])
+    def test_pathological_brackets(self, name, fun, a, b, sign):
+        def f(x):
+            return sign * fun(x)
+
+        calls = []
+
+        def recorded(x):
+            # only strictly inside the bracket, and a cap stands in for a hang
+            assert a < x < b, x
+            calls.append(x)
+            assert len(calls) <= 10_000
+            return f(x)
+
+        fa, fb = f(a), f(b)
+        assert (fa < 0.0) != (fb < 0.0) and fa != 0.0 and fb != 0.0
+        root = _refine_root(recorded, a, b, fa, fb)
+        refined = len(calls)
+
+        # an exact zero, or an end of an adjacent-doubles sign change
+        here = f(root)
+        assert a <= root <= b
+        assert here == 0.0 or any(
+            a <= n <= b and f(n) != 0.0 and (f(n) < 0.0) != (here < 0.0)
+            for n in (math.nextafter(root, -math.inf), math.nextafter(root, math.inf))), root
+
+        calls.clear()
+        _bisect_root(recorded, a, b, fa)
+        assert refined <= 2 * len(calls) + 4, (refined, len(calls))
+
+    @pytest.mark.parametrize("fun, a, b, root, most", [
+        (math.cos, 1.0, 2.0, 0.5 * PI, 10),
+        # convex: unweighted false position keeps replacing the left end
+        # (34 evaluations with the same bisection steps, 54 by bisection)
+        (lambda x: math.expm1(200.0 * (x - 0.3)), 0.0, 1.0, 0.3, 24),
+    ])
+    def test_smooth_root_takes_few_evaluations(self, fun, a, b, root, most):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return fun(x)
+
+        got = _refine_root(f, a, b, fun(a), fun(b))
+        assert abs(got - root) <= math.ulp(root)
+        assert len(calls) <= most
 
 
 class TestEvolutionOperator:

@@ -35,7 +35,7 @@ CASES = {
                              "--beta", "0:3.141592653589793:9",
                              "--psi-in", "D45", "--psi-f", "A135"], True),
     "contour_config": (["contour", "--config", "config.json"], True),
-    # the beta scan misses both zeros, so each beta is bisected to adjacent doubles
+    # the beta scan misses both zeros, so each beta is refined to adjacent doubles
     "singularities_degrees": (["singularities", "--omega", "0.5:1.5",
                                "--beta", "10:170", "--degrees", "--scan", "61"], False),
     # the zeros sit on the knot omega = 1 of the PCHIP table

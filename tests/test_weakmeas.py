@@ -25,6 +25,7 @@ from weaklight import (
     half_wave_frequencies,
     load_tabulated,
     phase_spectrum,
+    phases,
     rotation,
     selection,
     sweep_angle,
@@ -34,6 +35,8 @@ from weaklight import (
     unwrap,
     weak_flight_value,
 )
+from weaklight import crystal, weakmeas
+from weaklight.crystal import phase_arrays
 
 PI = math.pi
 VV = selection("V", "V")
@@ -501,6 +504,61 @@ class TestFindSingularities:
         with pytest.raises(ValueError, match="phase is not finite at omega"):
             find_singularities(DEFAULT_MODEL, (1e306, 1e308), (0.0, PI), VV)
 
+    @pytest.mark.parametrize("omega_range, beta_range, scan, zeros", [
+        # the README's search: both zeros lie on scan nodes
+        ((0.5, 1.5), (0.0, PI), 101, 2),
+        # zeros between the nodes of both scans; the second is the window of
+        # the singularities_degrees golden file
+        ((0.45, 1.55), (0.1, 1.0), 64, 1),
+        ((0.5, 1.5), (math.radians(10.0), math.radians(170.0)), 61, 2),
+    ])
+    def test_root_evaluation_budget(self, monkeypatch, omega_range, beta_range, scan, zeros):
+        calls = []
+        refine = crystal._refine_root
+
+        def counting(fun, a, b, fa, fb):
+            def counted(x):
+                calls.append(x)
+                return fun(x)
+            return refine(counted, a, b, fa, fb)
+
+        monkeypatch.setattr(crystal, "_refine_root", counting)
+        hits = find_singularities(DEFAULT_MODEL, omega_range, beta_range, VV, scan=scan)
+        assert len(hits) == zeros
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("pair, beta_range, signs", [
+        # V/V: both beta roots give the offset 0.0
+        (VV, (0.0, PI), (1.0, 1.0)),
+        # the lower beta root gives the offset -0.0, the upper one 0.0
+        (selection(-2.0, 3.0), (-PI, 0.0), (-1.0, 1.0)),
+    ])
+    def test_omega_roots_scanned_once_per_offset(self, monkeypatch, pair, beta_range, signs):
+        calls = []
+        half_wave_roots = weakmeas._half_wave_roots
+
+        def recording(model, omegas, phase_te, phase_tm, offset):
+            calls.append(offset)
+            return half_wave_roots(model, omegas, phase_te, phase_tm, offset)
+
+        monkeypatch.setattr(weakmeas, "_half_wave_roots", recording)
+        hits = find_singularities(DEFAULT_MODEL, (0.5, 1.5), beta_range, pair, scan=61)
+        monkeypatch.undo()
+        betas = sorted({h.beta for h in hits})
+        offsets = []
+        for b in betas:
+            p1, p2 = weakmeas._weights(b, pair)
+            offsets.append(cmath.phase(p1) - cmath.phase(p2))
+        assert offsets == [0.0, 0.0]
+        assert [math.copysign(1.0, o) for o in offsets] == list(signs)
+        assert len(calls) == 1
+        # the same omegas as one scan per beta root
+        omegas = np.linspace(0.5, 1.5, 61)
+        arrays = phase_arrays(DEFAULT_MODEL, omegas)
+        for b, offset in zip(betas, offsets):
+            assert [h.omega for h in hits if h.beta == b] == \
+                half_wave_roots(DEFAULT_MODEL, omegas, *arrays, offset)
+
 
 def closed_form_zeros(theta_in, theta_f, omega_range, beta_range):
     """The omegas and the betas of the zeros of T on DEFAULT_MODEL in a closed window.
@@ -537,6 +595,24 @@ uncrossed_pairs = st.tuples(angles, angles).filter(
     lambda a: abs(math.cos(a[0] - a[1])) >= 0.2)
 
 
+def scalar_gap(pair):
+    """The weight gap |p1|^2 - |p2|^2 at one beta, in the arithmetic of the beta scan."""
+    def gap(b):
+        p1, p2 = weakmeas._weights(b, pair)
+        return p1.real * p1.real + p1.imag * p1.imag - (p2.real * p2.real + p2.imag * p2.imag)
+    return gap
+
+
+def assert_node_or_sign_change(fun, x, grid):
+    """x is a scan node, a zero of fun, or an end of an adjacent-doubles sign change of fun."""
+    if x in grid:
+        return
+    here = fun(x)
+    assert here == 0.0 or any(
+        fun(n) != 0.0 and (fun(n) < 0.0) != (here < 0.0)
+        for n in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))), x
+
+
 class TestZerosAsRootProblems:
     @settings(max_examples=200, deadline=None)
     @given(thetas=uncrossed_pairs, omega_range=omega_windows, beta_range=beta_windows)
@@ -561,6 +637,35 @@ class TestZerosAsRootProblems:
             assert h.residual_abs_t <= 1e-14
             assert omega_range[0] <= h.omega <= omega_range[1]
             assert beta_range[0] <= h.beta <= beta_range[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.one_of(linear_models, st.just(TABLE)), pair=pairs,
+           start=st.floats(0.0, 0.9), width=st.floats(0.05, 1.0),
+           beta_range=beta_windows, scan=st.integers(2, 120))
+    def test_refined_roots_are_sign_changes(self, model, pair, start, width, beta_range, scan):
+        # windows in [0, 4] for linear models, in the table's domain for the table
+        lo, hi = (0.25, 1.75) if model is TABLE else (0.0, 4.0)
+        omega_range = (lo + start * (hi - lo), lo + min(start + width, 1.0) * (hi - lo))
+        omegas = np.linspace(*omega_range, scan)
+
+        def half_wave(offset):
+            def f(w):
+                pte, ptm = phases(model, w)
+                return math.cos(0.5 * (pte - ptm + offset))
+            return f
+
+        for w in half_wave_frequencies(model, omega_range, scan):
+            assert_node_or_sign_change(half_wave(0.0), w, omegas)
+        try:
+            hits = find_singularities(model, omega_range, beta_range, pair, scan=scan)
+        except PostselectionNull:
+            return
+        betas = np.linspace(*beta_range, scan)
+        for h in hits:
+            assert_node_or_sign_change(scalar_gap(pair), h.beta, betas)
+            p1, p2 = weakmeas._weights(h.beta, pair)
+            offset = cmath.phase(p1) - cmath.phase(p2)
+            assert_node_or_sign_change(half_wave(offset), h.omega, omegas)
 
     @pytest.mark.parametrize("labels", [("V", "H"), ("D45", "A135")])
     def test_crossed_pairs_raise(self, labels):
