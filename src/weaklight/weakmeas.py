@@ -531,8 +531,8 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     beta roots of the gap on a ``scan``-point beta grid, then at each of them
     the omega roots of cos((phi_te - phi_tm + arg p1 - arg p2)/2) on a
     ``scan``-point omega grid.  Beta roots with the same offset arg p1 -
-    arg p2 share one omega scan; every linear pair that is not crossed has
-    offset 0.  Each sign change between two nodes is narrowed by false
+    arg p2, such as the two of a V/V search (offset 0), share one omega
+    scan.  Each sign change between two nodes is narrowed by false
     position to adjacent doubles, and a node within rounding of a root is
     taken as it is; a point is kept when |T| < tol there.  Roots that leave
     two adjacent scan nodes with the same sign, a tangential root or two

@@ -504,15 +504,17 @@ class TestFindSingularities:
         with pytest.raises(ValueError, match="phase is not finite at omega"):
             find_singularities(DEFAULT_MODEL, (1e306, 1e308), (0.0, PI), VV)
 
-    @pytest.mark.parametrize("omega_range, beta_range, scan, zeros", [
+    @pytest.mark.parametrize("omega_range, beta_range, scan, zeros, most", [
         # the README's search: both zeros lie on scan nodes
-        ((0.5, 1.5), (0.0, PI), 101, 2),
-        # zeros between the nodes of both scans; the second is the window of
-        # the singularities_degrees golden file
-        ((0.45, 1.55), (0.1, 1.0), 64, 1),
-        ((0.5, 1.5), (math.radians(10.0), math.radians(170.0)), 61, 2),
+        ((0.5, 1.5), (0.0, PI), 101, 2, 60),
+        # zeros between the nodes of both scans, where whole-cell bisection
+        # took 93 and 96 evaluations; the second is the window of the
+        # singularities_degrees golden file
+        ((0.45, 1.55), (0.1, 1.0), 64, 1, 14),
+        ((0.5, 1.5), (math.radians(10.0), math.radians(170.0)), 61, 2, 14),
     ])
-    def test_root_evaluation_budget(self, monkeypatch, omega_range, beta_range, scan, zeros):
+    def test_root_evaluation_budget(self, monkeypatch, omega_range, beta_range, scan, zeros,
+                                    most):
         calls = []
         refine = crystal._refine_root
 
@@ -525,15 +527,19 @@ class TestFindSingularities:
         monkeypatch.setattr(crystal, "_refine_root", counting)
         hits = find_singularities(DEFAULT_MODEL, omega_range, beta_range, VV, scan=scan)
         assert len(hits) == zeros
-        assert len(calls) <= 60
+        assert len(calls) <= most
 
-    @pytest.mark.parametrize("pair, beta_range, signs", [
+    @pytest.mark.parametrize("pair, beta_range, signs, scans", [
         # V/V: both beta roots give the offset 0.0
-        (VV, (0.0, PI), (1.0, 1.0)),
+        (VV, (0.0, PI), (1.0, 1.0), 1),
         # the lower beta root gives the offset -0.0, the upper one 0.0
-        (selection(-2.0, 3.0), (-PI, 0.0), (-1.0, 1.0)),
+        (selection(-2.0, 3.0), (-PI, 0.0), (-1.0, 1.0), 1),
+        # elliptical in, V out: offsets of about +-0.28, one scan each
+        (SelectionPair(PolarizationState(math.cos(0.3), cmath.rect(math.sin(0.3), 0.5)),
+                       VV.psi_f), (0.0, PI), (1.0, -1.0), 2),
     ])
-    def test_omega_roots_scanned_once_per_offset(self, monkeypatch, pair, beta_range, signs):
+    def test_omega_roots_scanned_once_per_offset(self, monkeypatch, pair, beta_range, signs,
+                                                 scans):
         calls = []
         half_wave_roots = weakmeas._half_wave_roots
 
@@ -549,9 +555,10 @@ class TestFindSingularities:
         for b in betas:
             p1, p2 = weakmeas._weights(b, pair)
             offsets.append(cmath.phase(p1) - cmath.phase(p2))
-        assert offsets == [0.0, 0.0]
+        assert len(betas) == 2
         assert [math.copysign(1.0, o) for o in offsets] == list(signs)
-        assert len(calls) == 1
+        assert len(set(offsets)) == scans
+        assert len(calls) == scans
         # the same omegas as one scan per beta root
         omegas = np.linspace(0.5, 1.5, 61)
         arrays = phase_arrays(DEFAULT_MODEL, omegas)
@@ -604,7 +611,7 @@ def scalar_gap(pair):
 
 
 def assert_node_or_sign_change(fun, x, grid):
-    """x is a scan node, a zero of fun, or an end of an adjacent-doubles sign change of fun."""
+    """x is a node of ``grid``, a zero of fun or an end of an adjacent-doubles sign change."""
     if x in grid:
         return
     here = fun(x)
@@ -715,6 +722,27 @@ class TestEstimateBeta:
         tau = group_delay(DEFAULT_MODEL, 1.0, 0.3 * PI, VV)
         beta = estimate_beta(DEFAULT_MODEL, 1.0, VV, tau, (0.26 * PI, 0.4 * PI))
         assert beta == pytest.approx(0.3 * PI, abs=1e-8)
+
+    @pytest.mark.parametrize("beta, bracket", [(0.6, (0.3, 1.2)), (1.0, (0.3, 1.2)),
+                                               (0.4, (0.35, 1.5))])
+    def test_elliptical_pair_refines_the_whole_bracket(self, monkeypatch, beta, bracket):
+        # circular in, V out: no closed-form seed, so the whole bracket is
+        # refined, where bisecting it took 49 to 54 group_delay calls
+        pair = SelectionPair(PolarizationState(math.sqrt(0.5), 1j * math.sqrt(0.5)), VV.psi_f)
+        tau = group_delay(DEFAULT_MODEL, 1.0, beta, pair)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return group_delay(*args)
+
+        monkeypatch.setattr(weakmeas, "group_delay", counted)
+        got = estimate_beta(DEFAULT_MODEL, 1.0, pair, tau, bracket)
+        assert abs(got - beta) <= 1e-8
+        assert len(calls) <= 24
+
+        assert_node_or_sign_change(
+            lambda b: group_delay(DEFAULT_MODEL, 1.0, b, pair) - tau, got, ())
 
 
 class TestTransferLine:
