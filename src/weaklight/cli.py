@@ -341,7 +341,7 @@ def _command_line(plan):
     return "weaklight " + " ".join(plan.tokens)
 
 
-def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
+def _sweep_chunks(plan, table, arg_t=None):
     """A sweep CSV as text chunks: the header, then rows in fixed-size batches.
 
     The table is row-major over (omega, beta) with beta fastest, as
@@ -351,14 +351,13 @@ def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
     batch reaches them all, else per batch.  A row is the slots of its seven
     fields, each with its comma, and its flag, assembled in one row matrix
     that every batch reuses.  ``arg_t`` replaces the table's column of that
-    name; on singular rows the fields indexed by ``blank`` (omega is 0) are
-    left empty.
+    name.  On a singular row, a T field whose value is NaN is left empty:
+    the group delay there, and an unwrapped phase.
     """
     yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
     n, nb = table.singular.shape[0], table.shape[-1]
     columns = (table.re_t, table.im_t, table.abs_t,
                table.arg_t if arg_t is None else arg_t, table.group_delay)
-    blank = [k - 2 for k in blank]
     width = _g17.WIDTH + 1
     matrix = np.empty((min(_BATCH_ROWS, n), 7 * width + _FLAGS.shape[1]), np.uint8)
     betas = _g17.slots(table.beta[:nb], b",") if nb <= _BATCH_ROWS else None
@@ -374,10 +373,11 @@ def _sweep_chunks(plan, table, arg_t=None, blank=(6,)):
             _g17.slots(table.beta[at % nb], b",", out=rows[:, width:2 * width])
         else:
             np.take(betas, at % nb, axis=0, out=rows[:, width:2 * width])
-        t = _g17.slots(np.column_stack([c[start:stop] for c in columns]), b",",
+        values = np.column_stack([c[start:stop] for c in columns])
+        t = _g17.slots(values, b",",
                        out=rows[:, 2 * width:7 * width].reshape(-1, len(columns), width))
         flags = table.singular[start:stop]
-        t[np.flatnonzero(flags)[:, None], blank, :_g17.WIDTH] = 0
+        t[np.isnan(values) & flags[:, None], :_g17.WIDTH] = 0
         rows[:, 7 * width:] = _FLAGS[flags.view(np.uint8)]
         yield _g17.text(rows)
 
@@ -474,7 +474,7 @@ def _render(plan):
                   "the --omega grid may be too coarse for a faithful unwrap",
                   file=sys.stderr)
         table = contour_grid(model, plan.omega_grid, [plan.beta], pair)
-        return _sweep_chunks(plan, table, arg_t=spectrum.phase, blank=(5, 6))
+        return _sweep_chunks(plan, table, arg_t=spectrum.phase)
 
     if plan.subcommand == "angle-sweep":
         return _sweep_chunks(plan, sweep_angle(model, plan.omega, plan.beta_grid, pair))

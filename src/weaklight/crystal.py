@@ -279,13 +279,13 @@ def delay_arrays(model, omegas):
     return _pieces(model.omega_samples, model._dphi_table, w)
 
 
-def _bisect_root(fun, a, b, fa, tol=0.0):
+def _bisect_root(fun, a, b, fa):
     """A root of fun in [a, b], given fun(a) = fa and fun(b) of the other sign.
 
-    Halves the bracket until it is at most ``tol`` wide or its midpoint
-    rounds to an end, which with the default tol of 0 leaves adjacent doubles.
+    Halves the bracket until fun is exactly zero at its midpoint or the
+    midpoint rounds to an end, which leaves adjacent doubles.
     """
-    while b - a > tol:
+    while b - a > 0.0:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break

@@ -530,13 +530,13 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     modulo 2*pi, so the search is two one-dimensional root problems: the
     beta roots of the gap on a ``scan``-point beta grid, then at each of them
     the omega roots of cos((phi_te - phi_tm + arg p1 - arg p2)/2) on a
-    ``scan``-point omega grid.  Beta roots with the same offset arg p1 -
-    arg p2, such as the two of a V/V search (offset 0), share one omega
-    scan.  Each sign change between two nodes is narrowed by false
-    position to adjacent doubles, and a node within rounding of a root is
-    taken as it is; a point is kept when |T| < tol there.  Roots that leave
-    two adjacent scan nodes with the same sign, a tangential root or two
-    roots in one cell, are missed.
+    ``scan``-point omega grid.  The offset arg p1 - arg p2 is reduced to
+    (-pi, pi], and beta roots with the same offset, such as the two of a
+    V/V search (offset 0), share one omega scan.  Each sign change between
+    two nodes is narrowed by false position to adjacent doubles, and a node
+    within rounding of a root is taken as it is; a point is kept when
+    |T| < tol there.  Roots that leave two adjacent scan nodes with the same
+    sign, a tangential root or two roots in one cell, are missed.
 
     Zeros that form lines instead of points raise PostselectionNull: a gap
     within rounding of zero on the whole beta scan (crossed pairs), or a
@@ -567,15 +567,18 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
         return p1.real * p1.real + p1.imag * p1.imag - (p2.real * p2.real + p2.imag * p2.imag)
 
     found = []
-    # omega roots per offset; -0.0 and 0.0 are one key, and cos(-x) = cos(x)
-    # gives them the same roots
+    # omega roots per offset reduced to (-pi, pi], where a linear pair's
+    # offsets of 0.0 and +-2*pi meet; -0.0 and 0.0 are one key, and
+    # cos(-x) = cos(x) gives them the same roots
     omega_roots = {}
     for b in _scan_roots(gap, betas, gaps, _ROUNDING):
         p1, p2 = _weights(b, pair)
         if abs(p1) + abs(p2) < tol:
             raise PostselectionNull(
                 f"p1 = p2 = 0 at beta={b!r}: |T| < tol at every omega there")
-        offset = cmath.phase(p1) - cmath.phase(p2)
+        offset = math.remainder(cmath.phase(p1) - cmath.phase(p2), math.tau)
+        if offset == -math.pi:
+            offset = math.pi
         if offset not in omega_roots:
             omega_roots[offset] = _half_wave_roots(model, omegas, phase_te, phase_tm, offset)
         for w in omega_roots[offset]:

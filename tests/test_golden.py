@@ -5,6 +5,19 @@ the ``--dispersion-csv`` path as given, so input paths stay relative) and
 compares the bytes written to standard output or to ``-o`` with
 ``tests/golden/<case>.csv``, or ``<case>.json`` for JSON output.  Regenerate
 after an intended format change with ``PYTHONPATH=src python tests/test_golden.py``.
+
+``CASES`` is the one list of the corpus: adding a golden is one entry here.
+CI runs this module against the installed wheel, from outside the checkout
+with ``PYTHONPATH`` at the install directory, so ``weaklight`` is imported
+from the wheel's modules and not from ``src``.
+
+Two cases hold only where numpy dispatches its AVX-512 (``X86_V4``) kernels:
+``pulse_fast``, through ``np.exp`` in ``gaussian_pulse``, and
+``spectrum_tabulated``, through ``np.arctan2`` in ``phase_spectrum``.  Those
+kernels differ from libm's ``exp`` and ``atan2`` in the last bit on some
+inputs, and the committed bytes are theirs.  At ``X86_V3`` and below numpy
+agrees with libm, so with ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
+X86_V4"`` both cases, and so both across-batches tests, fail.
 """
 
 import contextlib

@@ -566,6 +566,37 @@ class TestFindSingularities:
             assert [h.omega for h in hits if h.beta == b] == \
                 half_wave_roots(DEFAULT_MODEL, omegas, *arrays, offset)
 
+    def test_linear_pair_offsets_share_one_scan(self, monkeypatch):
+        # arg p1 - arg p2 is 0.0, +2*pi or -2*pi by the quadrant of the beta
+        # root; unreduced, the -2*pi scan found omega 0.9999999999999996 for
+        # the zero line that the others put at 1.0000000000000004
+        calls = []
+        half_wave_roots = weakmeas._half_wave_roots
+
+        def recording(model, omegas, phase_te, phase_tm, offset):
+            calls.append(offset)
+            return half_wave_roots(model, omegas, phase_te, phase_tm, offset)
+
+        monkeypatch.setattr(weakmeas, "_half_wave_roots", recording)
+        pair = selection(0.0, 2.0)
+        hits = find_singularities(DEFAULT_MODEL, (0.5, 3.5), (-3.0, 6.0), pair)
+        raw = {cmath.phase(p1) - cmath.phase(p2)
+               for p1, p2 in (weakmeas._weights(h.beta, pair) for h in hits)}
+        assert raw == {2.0 * PI, 0.0, -2.0 * PI}
+        assert calls == [0.0]
+        assert len(hits) == 12
+        lines = {}
+        for h in hits:
+            lines.setdefault(round(h.omega), set()).add(h.omega)
+        assert lines == {1: {1.0000000000000004}, 3: {3.0000000000000027}}
+
+
+def reduced_offset(beta, pair):
+    """arg p1 - arg p2 at beta, reduced to (-pi, pi] as find_singularities reduces it."""
+    p1, p2 = weakmeas._weights(beta, pair)
+    offset = math.remainder(cmath.phase(p1) - cmath.phase(p2), 2.0 * PI)
+    return PI if offset == -PI else offset
+
 
 def closed_form_zeros(theta_in, theta_f, omega_range, beta_range):
     """The omegas and the betas of the zeros of T on DEFAULT_MODEL in a closed window.
@@ -670,9 +701,8 @@ class TestZerosAsRootProblems:
         betas = np.linspace(*beta_range, scan)
         for h in hits:
             assert_node_or_sign_change(scalar_gap(pair), h.beta, betas)
-            p1, p2 = weakmeas._weights(h.beta, pair)
-            offset = cmath.phase(p1) - cmath.phase(p2)
-            assert_node_or_sign_change(half_wave(offset), h.omega, omegas)
+            assert_node_or_sign_change(half_wave(reduced_offset(h.beta, pair)), h.omega,
+                                       omegas)
 
     @pytest.mark.parametrize("labels", [("V", "H"), ("D45", "A135")])
     def test_crossed_pairs_raise(self, labels):
