@@ -13,8 +13,10 @@ repeat by repeat, and their order reverses from one repeat to the next, so
 slow drift of the host and the order of runs affect them alike.
 
 Each subcommand runs at its default size (``estimate-beta`` with the README's
-example flags), plus a 1001x1001 ``contour``, a 2^18-sample ``pulse``, a
-``pulse`` at the ``--samples`` cap of 2^20 and a 1,000,001-beta ``angle-sweep``.
+example flags), plus 1001x1001 and 1415x1415 ``contour`` runs (twice the
+cells: the README's per-cell contour cost is the slope between them), a
+2^18-sample ``pulse``, a ``pulse`` at the ``--samples`` cap of 2^20 and a
+1,000,001-beta ``angle-sweep``.
 For each run the recorder takes the wall time from spawn to exit, the
 child's peak RSS (``ru_maxrss`` from ``os.wait4``), and the size and sha256
 of the file written with ``-o``.  A run that fails, or whose output differs
@@ -45,6 +47,8 @@ CASES = {
                       "--bracket", "0.6:0.78"],
     "contour-1001x1001": ["contour", "--omega", "0.5:1.5:1001",
                           "--beta", "0:3.141592653589793:1001"],
+    "contour-1415x1415": ["contour", "--omega", "0.5:1.5:1415",
+                          "--beta", "0:3.141592653589793:1415"],
     "pulse-2^18": ["pulse", "--samples", "262144"],
     "pulse-2^20": ["pulse", "--samples", "1048576"],
     "angle-sweep-1000001": ["angle-sweep", "--beta", "0:1:1000001"],

@@ -1,10 +1,12 @@
 """The two numpy kernels under the sweep grids and the DFT.
 
 ``bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im)``
-    fills ``out[i, j] = p1[i] * a[j] + p2[i] * b[j]`` (complex, split into
-    real/imaginary float64 arrays; ``out`` has shape ``(len(p1), len(a))``),
-    in the operation order of ``weakmeas._combine``, so scalar and grid
-    evaluations of a point agree bitwise.
+    fills ``out[i, j] = p1[j] * a[i] + p2[j] * b[i]`` (complex, split into
+    real/imaginary float64 arrays; ``out`` has shape ``(len(a), len(p1))``,
+    omega-major when ``a`` and ``b`` are the omega tables and ``p1`` and
+    ``p2`` the beta weights), in the operation order of
+    ``weakmeas._combine``, so scalar and grid evaluations of a point agree
+    bitwise.
 
 ``fft_butterflies(re, im, tw_re, tw_im)``
     in-place radix-2 Cooley-Tukey butterflies on bit-reversal-permuted data;
@@ -28,12 +30,12 @@ def active_backend():
 
 
 def bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im):
-    q1re = p1re[:, None]
-    q1im = p1im[:, None]
-    q2re = p2re[:, None]
-    q2im = p2im[:, None]
-    out_re[:, :] = q1re * are - q1im * aim + q2re * bre - q2im * bim
-    out_im[:, :] = q1re * aim + q1im * are + q2re * bim + q2im * bre
+    are = are[:, None]
+    aim = aim[:, None]
+    bre = bre[:, None]
+    bim = bim[:, None]
+    out_re[:, :] = p1re * are - p1im * aim + p2re * bre - p2im * bim
+    out_im[:, :] = p1re * aim + p1im * are + p2re * bim + p2im * bre
 
 
 # stages with fewer twiddles than this run one strided pass per twiddle over

@@ -231,20 +231,19 @@ def _beta_weights(betas, pair):
 
 
 def _grids(model, omegas, betas, pair, with_delay=False):
-    """T (and optionally the weak-value numerator) on betas x omegas.
+    """T (and optionally the weak-value numerator) on omegas x betas.
 
-    Returns float arrays of shape (len(betas), len(omegas)).
+    Returns float arrays of shape (len(omegas), len(betas)), the row-major
+    layout of ``contour_grid``; ``_beta_weights`` refuses non-finite betas.
     """
     omegas = np.ascontiguousarray(omegas, dtype=float)
     betas = np.ascontiguousarray(betas, dtype=float)
     if omegas.size == 0 or betas.size == 0:
         raise ValueError("sweep axes must be nonempty")
-    if not np.all(np.isfinite(betas)):
-        raise ValueError("beta values must be finite")
     # the phases are freed once their tables exist, before the kernel runs
     (cte, ste), (ctm, stm) = map(_cos_sin_table, phase_arrays(model, omegas))
     p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
-    shape = (betas.shape[0], omegas.shape[0])
+    shape = (omegas.shape[0], betas.shape[0])
     tre = np.empty(shape)
     tim = np.empty(shape)
     backends.bilinear_grid(cte, ste, ctm, stm, p1re, p1im, p2re, p2im, tre, tim)
@@ -259,20 +258,16 @@ def _grids(model, omegas, betas, pair, with_delay=False):
 
 
 def transfer_line(model, omegas, beta, pair):
-    """Complex T along an ascendingly ordered omega array at fixed beta."""
-    tre, tim = _grids(model, omegas, np.array([float(beta)]), pair)
-    out = np.empty(tre.shape[1], dtype=np.complex128)
-    out.real = tre[0]
-    out.imag = tim[0]
-    return out
+    """Complex T along an ascendingly ordered omega array at fixed beta: a grid column."""
+    return transfer_grid(model, omegas, np.array([float(beta)]), pair)[:, 0]
 
 
 def transfer_grid(model, omegas, betas, pair):
     """Complex T on the product grid, shape (len(omegas), len(betas))."""
     tre, tim = _grids(model, omegas, betas, pair)
-    out = np.empty((tre.shape[1], tre.shape[0]), dtype=np.complex128)
-    out.real = tre.T
-    out.imag = tim.T
+    out = np.empty(tre.shape, dtype=np.complex128)
+    out.real = tre
+    out.imag = tim
     return out
 
 
@@ -503,13 +498,8 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
 
 
 def sweep_angle(model, omega, betas, pair):
-    """Samples at fixed omega, one per beta in input order, as a SampleTable."""
-    betas = np.array(betas, dtype=float)
-    tre, tim, nre, nim = _grids(model, np.array([float(omega)]), betas, pair,
-                                with_delay=True)
-    n = betas.shape[0]
-    return _sample_table((n,), np.full(n, float(omega)), betas,
-                         tre.ravel(), tim.ravel(), nre.ravel(), nim.ravel())
+    """Samples at fixed omega, one per beta in input order: the one row of a contour grid."""
+    return contour_grid(model, [float(omega)], betas, pair)[0]
 
 
 def contour_grid(model, omegas, betas, pair):
@@ -519,7 +509,7 @@ def contour_grid(model, omegas, betas, pair):
     tre, tim, nre, nim = _grids(model, omegas, betas, pair, with_delay=True)
     nw, nb = omegas.shape[0], betas.shape[0]
     return _sample_table((nw, nb), np.repeat(omegas, nb), np.tile(betas, nw),
-                         *(a.T.ravel() for a in (tre, tim, nre, nim)))
+                         tre.ravel(), tim.ravel(), nre.ravel(), nim.ravel())
 
 
 def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10):
@@ -696,7 +686,7 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     if math.isnan(grid[0]):
         raise ValueError(f"beta must be finite, got {float(grid[0])!r}")
     tre, tim, nre, nim = _grids(model, np.array([float(omega)]), grid, pair, with_delay=True)
-    _, singular, scanned = _delays(tre[:, 0], tim[:, 0], nre[:, 0], nim[:, 0])
+    _, singular, scanned = _delays(tre[0], tim[0], nre[0], nim[0])
     if singular.any():
         i = int(np.argmax(singular))
         raise BadBracket(f"bracket contains a postselection null near beta={float(grid[i])!r}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import test_golden
 
-from weaklight.cli import execute, parse
+from weaklight.cli import execute, main, parse
 
 PI = math.pi
 
@@ -259,6 +259,20 @@ class TestExecute:
         assert execute(wide) == 2
         assert "12-sigma rule" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pulse_on_singular_carrier_writes_null(self, tmp_path):
+        # in process, so the formatter's null branch runs under the tests: the
+        # carrier sits on the beta = pi/4 zero, where no group delay exists
+        out = tmp_path / "pulse.json"
+        assert main(["pulse", "--samples", "256", "--beta", "0.7853981633974483",
+                     "-o", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert '"predicted_group_delay": null' in text
+        report = json.loads(text)["report"]
+        assert report["predicted_group_delay"] is None
+        assert math.isfinite(report["peak_shift"]) and math.isfinite(report["centroid_shift"])
+        # the fast-light caveat: the peak moves early while the centroid moves late
+        assert report["peak_shift"] < 0.0 < report["centroid_shift"]
 
 
 class TestProcessLevel:

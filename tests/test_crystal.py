@@ -165,6 +165,17 @@ class TestHalfWaveFrequencies:
         with pytest.raises(ValueError, match="empty"):
             half_wave_frequencies(DEFAULT_MODEL, (1.0, 1.0))
 
+    @pytest.mark.parametrize("model, omega_range", [
+        (RAMP, (0.0, 2.5)), (RAMP, (-0.5, 1.0)), (DEFAULT_MODEL, (-1.0, 1.0))])
+    def test_range_outside_domain_rejected(self, model, omega_range):
+        with pytest.raises(ValueError, match="outside model domain"):
+            half_wave_frequencies(model, omega_range)
+
+    @pytest.mark.parametrize("scan", [1, 0, -3])
+    def test_scan_below_two_rejected(self, scan):
+        with pytest.raises(ValueError, match="scan density must be at least 2"):
+            half_wave_frequencies(DEFAULT_MODEL, (0.0, 4.0), scan=scan)
+
 
 def sign_noise(x):
     """A deterministic pseudo-random value in [-1e-13, 1e-13) for each double x."""
@@ -308,6 +319,20 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="increasing"):
             TabulatedDispersion(np.array([0.0, 1.0, 1.0]), np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("w, te, tm, match", [
+        ([[0.0, 1.0]], [0.0, 1.0], [0.0, 1.0], "one-dimensional"),
+        ([0.0, 1.0], [[0.0, 1.0]], [0.0, 1.0], "one-dimensional"),
+        ([0.0, 1.0], [0.0, 1.0], 0.0, "one-dimensional"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0, 2.0], "equal length"),
+        ([0.0, 1.0], [0.0, 1.0], [0.0, 1.0, 2.0], "equal length"),
+        ([0.0, math.nan], [0.0, 1.0], [0.0, 1.0], "finite"),
+        ([0.0, 1.0], [0.0, math.inf], [0.0, 1.0], "finite"),
+        ([0.0, 1.0], [0.0, 1.0], [-math.inf, 1.0], "finite"),
+    ])
+    def test_tabulated_sample_arrays_checked(self, w, te, tm, match):
+        with pytest.raises(ValueError, match=match):
+            TabulatedDispersion(np.array(w), np.array(te), np.array(tm))
+
     def test_tabulated_immutable(self):
         with pytest.raises(ValueError):
             RAMP.omega_samples[0] = 5.0
@@ -340,6 +365,18 @@ class TestLoadTabulated:
         p = self._write(tmp_path / "d.csv",
                         "omega,phi_te,phi_tm\n0,0,0\n1,x,1\n")
         with pytest.raises(ValueError, match="line 3"):
+            load_tabulated(p)
+
+    @pytest.mark.parametrize("row", ["1,1", "1,1,1,1", "1;1;1", "1,1,"])
+    def test_row_without_three_numbers_reports_line(self, tmp_path, row):
+        p = self._write(tmp_path / "d.csv", f"omega,phi_te,phi_tm\n0,0,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"malformed row at line 3: {row!r}"):
+            load_tabulated(p)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n\n# another\n"])
+    def test_file_without_header(self, tmp_path, text):
+        p = self._write(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError, match="missing header 'omega,phi_te,phi_tm'"):
             load_tabulated(p)
 
     def test_missing_header(self, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -438,6 +439,22 @@ class TestContourGrid:
         assert len(grid) == 1 and len(grid[0]) == 1
         assert grid[0][0].arg_t == pytest.approx(PI, abs=1e-12)
 
+    def test_warm_peak_memory(self):
+        # the table's T and numerator columns are the kernel's omega-major
+        # grids themselves, not copies of them
+        omegas = np.linspace(0.5, 1.5, 501)
+        betas = np.linspace(0.0, PI, 501)
+        contour_grid(DEFAULT_MODEL, omegas, betas, VV)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            grid = contour_grid(DEFAULT_MODEL, omegas, betas, VV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (501, 501)
+        assert peak <= 12 * 8 * 501 * 501
+
     def test_deterministic(self):
         omegas = np.linspace(0.5, 1.5, 11)
         betas = np.linspace(0.0, PI, 13)
@@ -781,3 +798,60 @@ class TestTransferLine:
         line = transfer_line(DEFAULT_MODEL, omegas, 0.3, VV)
         for i in (0, 16, 32):
             assert line[i] == transfer(DEFAULT_MODEL, float(omegas[i]), 0.3, VV)
+
+
+def _raises(name, call, match):
+    return pytest.param(call, match, id=name)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, match", [
+        _raises("contour-no-omegas", lambda: contour_grid(DEFAULT_MODEL, [], [0.5], VV),
+                "sweep axes must be nonempty"),
+        _raises("contour-no-betas", lambda: contour_grid(DEFAULT_MODEL, [1.0], [], VV),
+                "sweep axes must be nonempty"),
+        _raises("transfer-grid-no-omegas", lambda: transfer_grid(DEFAULT_MODEL, [], [0.5], VV),
+                "sweep axes must be nonempty"),
+        _raises("transfer-grid-no-betas", lambda: transfer_grid(DEFAULT_MODEL, [1.0], [], VV),
+                "sweep axes must be nonempty"),
+        _raises("sweep-angle-no-betas", lambda: sweep_angle(DEFAULT_MODEL, 1.0, [], VV),
+                "sweep axes must be nonempty"),
+        _raises("contour-nan-beta",
+                lambda: contour_grid(DEFAULT_MODEL, [1.0], [0.5, math.nan], VV),
+                "beta must be finite"),
+        _raises("transfer-grid-inf-beta",
+                lambda: transfer_grid(DEFAULT_MODEL, [1.0], [math.inf], VV),
+                "beta must be finite"),
+        _raises("sweep-angle-nan-beta",
+                lambda: sweep_angle(DEFAULT_MODEL, 1.0, [math.nan, 0.5], VV),
+                "beta must be finite"),
+        _raises("contour-nan-omega",
+                lambda: contour_grid(DEFAULT_MODEL, [1.0, math.nan], [0.5], VV),
+                "omega array must be finite"),
+        _raises("transfer-grid-nan-omega",
+                lambda: transfer_grid(DEFAULT_MODEL, [math.nan], [0.5], VV),
+                "omega array must be finite"),
+        _raises("sweep-angle-nan-omega",
+                lambda: sweep_angle(DEFAULT_MODEL, math.nan, [0.5], VV),
+                "omega array must be finite"),
+        _raises("spectrum-empty", lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, []),
+                "nonempty one-dimensional"),
+        _raises("spectrum-2d", lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, [[0.5, 1.0]]),
+                "nonempty one-dimensional"),
+        _raises("spectrum-repeated",
+                lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, [0.5, 1.0, 1.0]),
+                "strictly increasing"),
+        _raises("spectrum-decreasing",
+                lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, [1.0, 0.5]),
+                "strictly increasing"),
+        *(_raises(f"numeric-delay-h={h!r}",
+                  lambda h=h: group_delay(DEFAULT_MODEL, 1.0, 0.3, VV, "numeric", h),
+                  "step h must be positive and finite")
+          for h in (0.0, -1e-5, math.inf, math.nan)),
+        _raises("singularities-scan-1",
+                lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV, scan=1),
+                "scan density must be at least 2"),
+    ])
+    def test_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
