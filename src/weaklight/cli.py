@@ -450,76 +450,75 @@ def _json_chunks(doc):
 
 
 def _csv_document(plan, columns, rows):
-    lines = [f"# {_command_line(plan)}", columns]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# {_command_line(plan)}", columns, *rows]) + "\n"
 
 
-def _render(plan):
-    """Compute a plan's results; returns the output as an iterable of text chunks.
+def _contour(plan, model, pair):
+    return _sweep_chunks(plan, contour_grid(model, plan.omega_grid, plan.beta_grid, pair))
 
-    Everything that can fail runs here, before the caller opens the output,
-    so a failed run writes nothing; sweep rows and JSON float arrays are
-    formatted lazily as the chunks are consumed.
-    """
-    model, pair = plan.model, plan.pair
 
-    if plan.subcommand == "contour":
-        return _sweep_chunks(plan, contour_grid(model, plan.omega_grid, plan.beta_grid, pair))
+def _spectrum(plan, model, pair):
+    spectrum = phase_spectrum(model, plan.beta, pair, plan.omega_grid)
+    if spectrum.undersampled:
+        print("weaklight: warning: an unwrapped phase step reached 0.9*pi; "
+              "the --omega grid may be too coarse for a faithful unwrap",
+              file=sys.stderr)
+    table = contour_grid(model, plan.omega_grid, [plan.beta], pair)
+    return _sweep_chunks(plan, table, arg_t=spectrum.phase)
 
-    if plan.subcommand == "spectrum":
-        spectrum = phase_spectrum(model, plan.beta, pair, plan.omega_grid)
-        if spectrum.undersampled:
-            print("weaklight: warning: an unwrapped phase step reached 0.9*pi; "
-                  "the --omega grid may be too coarse for a faithful unwrap",
-                  file=sys.stderr)
-        table = contour_grid(model, plan.omega_grid, [plan.beta], pair)
-        return _sweep_chunks(plan, table, arg_t=spectrum.phase)
 
-    if plan.subcommand == "angle-sweep":
-        return _sweep_chunks(plan, sweep_angle(model, plan.omega, plan.beta_grid, pair))
+def _angle_sweep(plan, model, pair):
+    return _sweep_chunks(plan, sweep_angle(model, plan.omega, plan.beta_grid, pair))
 
-    if plan.subcommand == "singularities":
-        hits = find_singularities(model, plan.omega_interval, plan.beta_interval,
-                                  pair, scan=plan.scan, tol=plan.tol)
-        rows = [",".join([_fmt(s.omega), _fmt(s.beta), _fmt(s.residual_abs_t)])
-                for s in hits]
-        return [_csv_document(plan, _SINGULARITY_COLUMNS, rows)]
 
-    if plan.subcommand == "estimate-beta":
-        beta = estimate_beta(model, plan.omega, pair, plan.tau, plan.bracket_interval)
-        if plan.fmt == "json":
-            return _json_chunks({"command": _command_line(plan), "beta": beta})
-        return [_csv_document(plan, "beta", [_fmt(beta)])]
+def _singularities(plan, model, pair):
+    hits = find_singularities(model, plan.omega_interval, plan.beta_interval,
+                              pair, scan=plan.scan, tol=plan.tol)
+    rows = [",".join(map(_fmt, (s.omega, s.beta, s.residual_abs_t))) for s in hits]
+    return [_csv_document(plan, _SINGULARITY_COLUMNS, rows)]
 
-    if plan.subcommand == "pulse":
-        grid = SpectralGrid(plan.samples, plan.omega, plan.span)
-        pulse_in = gaussian_pulse(grid, plan.sigma_omega)
-        pulse_out, report = propagate(model, plan.beta, pair, pulse_in)
-        doc = {
-            "command": _command_line(plan),
-            "grid": {
-                "samples": grid.n,
-                "omega_center": grid.omega_center,
-                "omega_span": grid.omega_span,
-                "delta_omega": grid.delta_omega,
-                "time_step": grid.time_step,
-            },
-            "sigma_omega": plan.sigma_omega,
-            "beta": plan.beta,
-            "report": {
-                "peak_shift": report.peak_shift,
-                "centroid_shift": report.centroid_shift,
-                "energy_transmission": report.energy_transmission,
-                "predicted_group_delay": report.predicted_group_delay,
-            },
-            "times": _time_axis(grid),
-            "input_intensity": _float_array(pulse_in.intensity),
-            "output_intensity": _float_array(pulse_out.intensity),
-        }
-        return _json_chunks(doc)
 
-    raise ValueError(f"unknown subcommand {plan.subcommand!r}")
+def _estimate_beta(plan, model, pair):
+    beta = estimate_beta(model, plan.omega, pair, plan.tau, plan.bracket_interval)
+    if plan.fmt == "json":
+        return _json_chunks({"command": _command_line(plan), "beta": beta})
+    return [_csv_document(plan, "beta", [_fmt(beta)])]
+
+
+def _pulse(plan, model, pair):
+    grid = SpectralGrid(plan.samples, plan.omega, plan.span)
+    pulse_in = gaussian_pulse(grid, plan.sigma_omega)
+    pulse_out, report = propagate(model, plan.beta, pair, pulse_in)
+    doc = {
+        "command": _command_line(plan),
+        "grid": {
+            "samples": grid.n,
+            "omega_center": grid.omega_center,
+            "omega_span": grid.omega_span,
+            "delta_omega": grid.delta_omega,
+            "time_step": grid.time_step,
+        },
+        "sigma_omega": plan.sigma_omega,
+        "beta": plan.beta,
+        "report": {
+            "peak_shift": report.peak_shift,
+            "centroid_shift": report.centroid_shift,
+            "energy_transmission": report.energy_transmission,
+            "predicted_group_delay": report.predicted_group_delay,
+        },
+        "times": _time_axis(grid),
+        "input_intensity": _float_array(pulse_in.intensity),
+        "output_intensity": _float_array(pulse_out.intensity),
+    }
+    return _json_chunks(doc)
+
+
+# subcommand -> renderer(plan, model, pair), which returns the output as text
+# chunks.  All that can fail runs in it, before execute opens the output, so a
+# failed run writes nothing; rows and float arrays are formatted lazily.
+_RENDERERS = {"contour": _contour, "spectrum": _spectrum, "angle-sweep": _angle_sweep,
+              "singularities": _singularities, "estimate-beta": _estimate_beta,
+              "pulse": _pulse}
 
 
 def _write(path, chunks):
@@ -533,7 +532,7 @@ def _write(path, chunks):
 def execute(plan):
     """Run a plan and write its output; returns the process exit status."""
     try:
-        chunks = _render(plan)
+        chunks = _RENDERERS[plan.subcommand](plan, plan.model, plan.pair)
     except PostselectionNull as exc:
         print(f"weaklight: null postselection: {exc}", file=sys.stderr)
         return 3

@@ -88,18 +88,12 @@ class TabulatedDispersion:
     phi_tm_samples: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.omega_samples, dtype=float).copy()
-        te = np.asarray(self.phi_te_samples, dtype=float).copy()
-        tm = np.asarray(self.phi_tm_samples, dtype=float).copy()
-        if w.ndim != 1 or te.ndim != 1 or tm.ndim != 1:
-            raise ValueError("sample arrays must be one-dimensional")
+        w, te, tm = (_check_axis(name, getattr(self, name)).copy()
+                     for name in ("omega_samples", "phi_te_samples", "phi_tm_samples"))
         if w.size < 2:
             raise ValueError("need at least 2 samples")
         if te.size != w.size or tm.size != w.size:
             raise ValueError("sample arrays must have equal length")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(te))
-                and np.all(np.isfinite(tm))):
-            raise ValueError("sample arrays must be finite")
         if np.any(np.diff(w) <= 0.0):
             raise ValueError("omega samples must be strictly increasing")
         for arr in (w, te, tm):
@@ -226,13 +220,26 @@ def phases(model, omega):
     return _piece(model._knots, model._phi_coeffs, omega)
 
 
+def _check_axis(name, values):
+    """``values`` as a contiguous float64 array that is nonempty, one-dimensional and finite.
+
+    The one check of these properties on every sweep axis and sampled array
+    of the package.  A ValueError names the input ``name``; for a
+    non-finite entry it also gives the first one, as the scalar checks do.
+    """
+    a = np.asarray(values, dtype=float, order="C")
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("sweep axes must be nonempty one-dimensional arrays, "
+                         f"got {name} with shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {float(a[~finite][0])!r}")
+    return a
+
+
 def _check_omegas(model, omegas):
-    """``omegas`` as a float array; it must be nonempty, finite and in the model's domain."""
-    w = np.asarray(omegas, dtype=float)
-    if w.size == 0:
-        raise ValueError("omega array must be nonempty")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("omega array must be finite")
+    """``omegas`` as a checked axis (``_check_axis``) inside the model's domain."""
+    w = _check_axis("omega array", omegas)
     lo, hi = domain(model)
     wmin, wmax = float(w.min()), float(w.max())
     if wmin < lo or wmax > hi:

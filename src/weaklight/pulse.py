@@ -233,12 +233,13 @@ def peak_time(field):
 
 
 def _centroid_time(field, times):
-    """Intensity first moment of field; ``times`` is ``field.grid.times()``."""
+    """Intensity first moment of field; ``times`` is ``field.grid.times()``.
+
+    Called only after ``peak_time`` has refused a field with no positive
+    intensity, so the total, at least its largest term, is not zero.
+    """
     inten = field.intensity
-    total = float(np.sum(inten))
-    if total == 0.0:
-        raise ValueError("field is identically zero")
-    return float(np.sum(times * inten)) / total
+    return float(np.sum(times * inten)) / float(np.sum(inten))
 
 
 def propagate(model, beta, pair, pulse):

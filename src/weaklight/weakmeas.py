@@ -25,6 +25,7 @@ from . import backends
 from .crystal import (
     _ROUNDING,
     _bisect_root,
+    _check_axis,
     _half_wave_roots,
     _refine_root,
     _scan_roots,
@@ -197,11 +198,9 @@ def _beta_weights(betas, pair):
     so each element matches ``_weights`` bitwise, signed zeros included: a
     float c times a complex a is (c*a.real - 0.0*a.imag, c*a.imag +
     0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
-    a.real*b.imag + a.imag*b.real).
+    a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``.
     """
-    if not np.all(np.isfinite(betas)):
-        raise ValueError("beta must be finite")
-    c, s = _cos_sin_table(betas)
+    c, s = _cos_sin_table(_check_axis("beta", betas))
 
     # in place where the rounding is the same, so that few arrays are alive at once
     def scaled(t, a):
@@ -231,30 +230,29 @@ def _beta_weights(betas, pair):
 
 
 def _grids(model, omegas, betas, pair, with_delay=False):
-    """T (and optionally the weak-value numerator) on omegas x betas.
+    """The checked axes, then T (and optionally the weak-value numerator) on omegas x betas.
 
-    Returns float arrays of shape (len(omegas), len(betas)), the row-major
-    layout of ``contour_grid``; ``_beta_weights`` refuses non-finite betas.
+    Both axes go through ``_check_axis`` first.  The grids are float arrays
+    of shape (omegas.size, betas.size), the row-major layout of
+    ``contour_grid``.
     """
-    omegas = np.ascontiguousarray(omegas, dtype=float)
-    betas = np.ascontiguousarray(betas, dtype=float)
-    if omegas.size == 0 or betas.size == 0:
-        raise ValueError("sweep axes must be nonempty")
+    omegas = _check_axis("omega array", omegas)
+    betas = _check_axis("beta", betas)
     # the phases are freed once their tables exist, before the kernel runs
     (cte, ste), (ctm, stm) = map(_cos_sin_table, phase_arrays(model, omegas))
     p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
-    shape = (omegas.shape[0], betas.shape[0])
+    shape = (omegas.size, betas.size)
     tre = np.empty(shape)
     tim = np.empty(shape)
     backends.bilinear_grid(cte, ste, ctm, stm, p1re, p1im, p2re, p2im, tre, tim)
     if not with_delay:
-        return tre, tim
+        return omegas, betas, tre, tim
     dte, dtm = delay_arrays(model, omegas)
     nre = np.empty(shape)
     nim = np.empty(shape)
     backends.bilinear_grid(dte * cte, dte * ste, dtm * ctm, dtm * stm,
                            p1re, p1im, p2re, p2im, nre, nim)
-    return tre, tim, nre, nim
+    return omegas, betas, tre, tim, nre, nim
 
 
 def transfer_line(model, omegas, beta, pair):
@@ -264,7 +262,7 @@ def transfer_line(model, omegas, beta, pair):
 
 def transfer_grid(model, omegas, betas, pair):
     """Complex T on the product grid, shape (len(omegas), len(betas))."""
-    tre, tim = _grids(model, omegas, betas, pair)
+    _, _, tre, tim = _grids(model, omegas, betas, pair)
     out = np.empty(tre.shape, dtype=np.complex128)
     out.real = tre
     out.imag = tim
@@ -289,11 +287,7 @@ def unwrap(phases_in):
     that the steps lose their value modulo 2*pi, so larger input raises
     ``ValueError``.
     """
-    x = np.asarray(phases_in, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("unwrap needs a nonempty one-dimensional array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("unwrap needs finite phases")
+    x = _check_axis("phases", phases_in)
     peak = float(np.max(np.abs(x)))
     if peak > _UNWRAP_LIMIT:
         raise ValueError(f"unwrap needs |phase| <= 2**40 rad, got {peak!r}")
@@ -331,10 +325,8 @@ def phase_spectrum(model, beta, pair, omegas):
     must stay below pi for the unwrap to be faithful.  Steps at or beyond
     0.9*pi set the ``undersampled`` flag instead of failing.
     """
-    w = np.asarray(omegas, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("omegas must be a nonempty one-dimensional array")
-    if w.size > 1 and np.any(np.diff(w) <= 0.0):
+    w = _check_axis("omega array", omegas)
+    if np.any(np.diff(w) <= 0.0):
         raise ValueError("omegas must be strictly increasing")
     t = transfer_line(model, w, beta, pair)
     abs_t = np.sqrt(t.real * t.real + t.imag * t.imag)
@@ -504,10 +496,8 @@ def sweep_angle(model, omega, betas, pair):
 
 def contour_grid(model, omegas, betas, pair):
     """Row-major SampleTable: grid[i][j] evaluated at (omegas[i], betas[j])."""
-    omegas = np.asarray(omegas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    tre, tim, nre, nim = _grids(model, omegas, betas, pair, with_delay=True)
-    nw, nb = omegas.shape[0], betas.shape[0]
+    omegas, betas, tre, tim, nre, nim = _grids(model, omegas, betas, pair, with_delay=True)
+    nw, nb = omegas.size, betas.size
     return _sample_table((nw, nb), np.repeat(omegas, nb), np.tile(betas, nw),
                          tre.ravel(), tim.ravel(), nre.ravel(), nim.ravel())
 
@@ -682,10 +672,8 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     # or an overflowing bracket raises as a per-point scan would.
     phi = phases(model, omega)
     tau = group_delays(model, omega)
-    grid = np.linspace(lo, hi, 64)
-    if math.isnan(grid[0]):
-        raise ValueError(f"beta must be finite, got {float(grid[0])!r}")
-    tre, tim, nre, nim = _grids(model, np.array([float(omega)]), grid, pair, with_delay=True)
+    _, grid, tre, tim, nre, nim = _grids(model, [float(omega)], np.linspace(lo, hi, 64), pair,
+                                         with_delay=True)
     _, singular, scanned = _delays(tre[0], tim[0], nre[0], nim[0])
     if singular.any():
         i = int(np.argmax(singular))

@@ -108,6 +108,12 @@ class TestGroupDelays:
             assert words in message
             assert message == error_message(phase_arrays, model, omegas)
 
+    @pytest.mark.parametrize("omegas", [1.0, [[0.5, 1.0]], np.ones((2, 1))])
+    def test_arrays_refuse_0d_and_nd_omegas(self, omegas):
+        message = error_message(delay_arrays, DEFAULT_MODEL, omegas)
+        assert f"got omega array with shape {np.shape(omegas)}" in message
+        assert message == error_message(phase_arrays, DEFAULT_MODEL, omegas)
+
     def test_overflowing_phase_arrays_raise(self):
         # math.cos of an infinite phase raises where np.cos gives NaN, so the
         # phase arrays refuse it, naming the first such omega, without warnings

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,14 +17,19 @@ from weaklight import (
     LinearDispersion,
     PolarizationState,
     PostselectionNull,
+    PulseField,
     SelectionPair,
+    SpectralGrid,
     apply,
     basis_state,
     contour_grid,
     estimate_beta,
     find_singularities,
+    gaussian_pulse,
     group_delay,
     half_wave_frequencies,
+    is_hermitian,
+    linear_state,
     load_tabulated,
     phase_spectrum,
     phases,
@@ -36,7 +42,7 @@ from weaklight import (
     unwrap,
     weak_flight_value,
 )
-from weaklight import crystal, weakmeas
+from weaklight import crystal, fourier, weakmeas
 from weaklight.crystal import phase_arrays
 
 PI = math.pi
@@ -804,6 +810,14 @@ def _raises(name, call, match):
     return pytest.param(call, match, id=name)
 
 
+def _shape(name, shape):
+    """The message part of ``_check_axis`` that names an axis and its shape."""
+    return re.escape(f"got {name} with shape {shape}")
+
+
+GRID = SpectralGrid(64, 1.0, 0.64)
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("call, match", [
         _raises("contour-no-omegas", lambda: contour_grid(DEFAULT_MODEL, [], [0.5], VV),
@@ -851,7 +865,59 @@ class TestArgumentChecks:
         _raises("singularities-scan-1",
                 lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV, scan=1),
                 "scan density must be at least 2"),
+        # 0-d and 2-D axes are refused by name, before any kernel runs
+        _raises("contour-0d-omegas", lambda: contour_grid(DEFAULT_MODEL, 1.0, [0.5], VV),
+                _shape("omega array", ())),
+        _raises("contour-2d-omegas",
+                lambda: contour_grid(DEFAULT_MODEL, [[1.0, 1.1]], [0.5], VV),
+                _shape("omega array", (1, 2))),
+        _raises("contour-0d-betas", lambda: contour_grid(DEFAULT_MODEL, [1.0], 0.5, VV),
+                _shape("beta", ())),
+        _raises("contour-2d-betas",
+                lambda: contour_grid(DEFAULT_MODEL, [1.0], [[0.5], [0.6]], VV),
+                _shape("beta", (2, 1))),
+        _raises("transfer-grid-0d-axes", lambda: transfer_grid(DEFAULT_MODEL, 1.0, 0.5, VV),
+                _shape("omega array", ())),
+        _raises("transfer-grid-0d-betas",
+                lambda: transfer_grid(DEFAULT_MODEL, [1.0], 0.5, VV), _shape("beta", ())),
+        _raises("transfer-grid-2d-omegas",
+                lambda: transfer_grid(DEFAULT_MODEL, [[1.0], [1.1]], [0.5], VV),
+                _shape("omega array", (2, 1))),
+        _raises("transfer-grid-2d-betas",
+                lambda: transfer_grid(DEFAULT_MODEL, [1.0], [[0.5, 0.6]], VV),
+                _shape("beta", (1, 2))),
+        _raises("transfer-line-0d-omegas", lambda: transfer_line(DEFAULT_MODEL, 1.0, 0.5, VV),
+                _shape("omega array", ())),
+        _raises("transfer-line-2d-omegas",
+                lambda: transfer_line(DEFAULT_MODEL, [[1.0, 1.1]], 0.5, VV),
+                _shape("omega array", (1, 2))),
+        _raises("sweep-angle-0d-betas", lambda: sweep_angle(DEFAULT_MODEL, 1.0, 0.5, VV),
+                _shape("beta", ())),
+        _raises("sweep-angle-2d-betas",
+                lambda: sweep_angle(DEFAULT_MODEL, 1.0, [[0.5, 0.6]], VV),
+                _shape("beta", (1, 2))),
+        _raises("spectrum-0d", lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, 1.0),
+                _shape("omega array", ())),
+        _raises("spectrum-2d-named",
+                lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, [[0.5], [1.0]]),
+                _shape("omega array", (2, 1))),
+        # raises of the other modules that no other test reaches
+        _raises("linear-state-not-an-angle", lambda: linear_state("x"), "must be a real angle"),
+        _raises("rotation-not-an-angle", lambda: rotation("x"), "must be a real angle"),
+        _raises("hermitian-tol-0", lambda: is_hermitian(rotation(0.3), tol=0.0),
+                "tol must be positive"),
+        _raises("pulse-field-short-arrays",
+                lambda: PulseField(GRID, np.zeros(GRID.n - 1), np.zeros(GRID.n - 1)),
+                "must have grid length"),
+        _raises("gaussian-sigma-0", lambda: gaussian_pulse(GRID, 0.0),
+                "sigma_omega must be positive"),
+        _raises("dft-2d", lambda: fourier.dft_forward(np.zeros((2, 2))),
+                "expected a one-dimensional array"),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    def test_selection_pair_needs_states(self):
+        with pytest.raises(TypeError, match="PolarizationState"):
+            SelectionPair("V", "V")
