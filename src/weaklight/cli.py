@@ -160,7 +160,7 @@ def _build_parser(names):
                        help="flat JSON object whose keys are long flag names")
         add(p, "-o", "--output", metavar="PATH",
             help="output file (default: standard output)")
-        add(p, "--format", dest="fmt", metavar="FMT",
+        add(p, "--format", metavar="FMT",
             help="csv or json (default csv; pulse is always json; "
                  "json only for pulse and estimate-beta)")
     return parser, config_keys
@@ -315,10 +315,7 @@ def parse(argv=None):
     pair_tokens = ["--psi-in", tok_in, "--psi-f", tok_f]
 
     sub = args.subcommand
-    if args.fmt is not None:
-        fmt = args.fmt
-    else:
-        fmt = config.get("format", "json" if sub == "pulse" else "csv")
+    fmt, _ = res.pick("format", "json" if sub == "pulse" else "csv")
     if fmt not in ("csv", "json"):
         parser.error(f"--format must be csv or json, got {fmt!r}")
     if sub == "pulse" and fmt != "json":

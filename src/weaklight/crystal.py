@@ -14,12 +14,15 @@ scipy's ``PchipInterpolator`` bit for bit; the tests check this.
 """
 
 import math
+import operator
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from .errors import _finite
 from .jones import PolarizationOperator, rotation
 
 __all__ = [
@@ -45,13 +48,6 @@ TAU_TM_DEFAULT = 9.0 * math.pi
 # of zero as zero: the weight gap |p1|^2 - |p2|^2 of a crossed selection pair,
 # zero in exact arithmetic, computes to at most 1.5 ulp of 1.
 _ROUNDING = 8.0 * np.finfo(float).eps
-
-
-def _finite(name, value):
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -390,6 +386,21 @@ def _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
     return _scan_roots(fun, omegas, values, atol)
 
 
+def _scan(name, interval, n):
+    """``n`` points from ``interval[0]`` to ``interval[1]``: finite, increasing ends
+    with a finite width, and an integer ``n`` >= 2 that is never truncated."""
+    lo = _finite(f"{name}[0]", interval[0])
+    hi = _finite(f"{name}[1]", interval[1])
+    if not lo < hi:
+        raise ValueError(f"empty {name} [{lo!r}, {hi!r}]")
+    _finite(f"{name} width", hi - lo)
+    with suppress(TypeError):
+        count = operator.index(n)
+        if count >= 2:
+            return np.linspace(lo, hi, count)
+    raise ValueError(f"scan density must be at least 2 and an integer, got {n!r}")
+
+
 def half_wave_frequencies(model, omega_range, scan=1000):
     """All omega in the closed range where phi_te - phi_tm is pi modulo 2*pi.
 
@@ -397,21 +408,15 @@ def half_wave_frequencies(model, omega_range, scan=1000):
     and each bracket is narrowed by false position to an adjacent-doubles
     sign change (``_refine_root``); a grid node within rounding of a root is
     returned as it is.  Tangential (double) roots that never change sign
-    on the scan grid are not detected.
+    on the scan grid are not detected.  ``omega_range`` needs finite,
+    increasing ends, and ``scan`` is an integer >= 2, never truncated.
     """
-    lo = _finite("omega_range[0]", omega_range[0])
-    hi = _finite("omega_range[1]", omega_range[1])
-    if not lo < hi:
-        raise ValueError(f"empty omega range [{lo!r}, {hi!r}]")
+    omegas = _scan("omega_range", omega_range, scan)
     dom_lo, dom_hi = domain(model)
-    if lo < dom_lo or hi > dom_hi:
+    if omegas[0] < dom_lo or omegas[-1] > dom_hi:
         raise ValueError(
-            f"omega range [{lo:g}, {hi:g}] outside model domain "
+            f"omega range [{omegas[0]:g}, {omegas[-1]:g}] outside model domain "
             f"[{dom_lo:g}, {dom_hi:g}]")
-    scan = int(scan)
-    if scan < 2:
-        raise ValueError("scan density must be at least 2")
-    omegas = np.linspace(lo, hi, scan)
     return _half_wave_roots(model, omegas, *phase_arrays(model, omegas), 0.0)
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import backends
+from .errors import _power_of_two
 
 __all__ = ["dft_forward", "dft_inverse"]
 
@@ -42,18 +43,12 @@ def _tables(n):
     return perm, tw_re, tw_im
 
 
-def _check_size(n):
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"transform size must be a power of two >= 2, got {n}")
-
-
 def dft_forward(z):
     """Forward DFT of a complex vector whose length is a power of two."""
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1:
         raise ValueError("expected a one-dimensional array")
-    n = z.shape[0]
-    _check_size(n)
+    n = _power_of_two("transform size", z.shape[0], 2)
     perm, tw_re, tw_im = _tables(n)
     re = z.real[perm]
     im = z.imag[perm]

@@ -10,6 +10,8 @@ so concurrent use needs no locking.
 import math
 from dataclasses import dataclass
 
+from .errors import _finite, _positive
+
 __all__ = [
     "PolarizationState",
     "PolarizationOperator",
@@ -41,9 +43,7 @@ def _finite_angle(name, value):
         x = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real angle, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return x
+    return _finite(name, x)
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,7 @@ def apply(op, vec):
 
 def is_unitary(op, tol=1e-12):
     """True iff max elementwise |op^dagger op - I| <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _positive("tol", tol)
     g = op.dagger() @ op
     dev = max(abs(g.m11 - 1.0), abs(g.m12), abs(g.m21), abs(g.m22 - 1.0))
     return dev <= tol
@@ -165,8 +164,7 @@ def is_unitary(op, tol=1e-12):
 
 def is_hermitian(op, tol=1e-12):
     """True iff max elementwise |op - op^dagger| <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _positive("tol", tol)
     dev = max(
         abs(op.m11 - op.m11.conjugate()),
         abs(op.m22 - op.m22.conjugate()),

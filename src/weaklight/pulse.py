@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PostselectionNull
+from .errors import PostselectionNull, _finite, _positive, _power_of_two
 from .fourier import dft_forward, dft_inverse
 from .weakmeas import SINGULAR_TOL, group_delay, transfer_line
 
@@ -35,23 +35,18 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform frequency grid: n samples spanning omega_span around omega_center."""
+    """Uniform frequency grid: n samples spanning omega_span around omega_center.
+
+    n is an integer power of two >= 64; omega_center and omega_span > 0 are finite."""
 
     n: int
     omega_center: float
     omega_span: float
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError(f"sample count must be a power of two >= 64, got {self.n!r}")
-        center = float(self.omega_center)
-        span = float(self.omega_span)
-        if not (math.isfinite(center) and math.isfinite(span) and span > 0.0):
-            raise ValueError("omega_center must be finite and omega_span positive")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "omega_center", center)
-        object.__setattr__(self, "omega_span", span)
+        object.__setattr__(self, "n", _power_of_two("sample count", self.n, 64))
+        object.__setattr__(self, "omega_center", _finite("omega_center", self.omega_center))
+        object.__setattr__(self, "omega_span", _positive("omega_span", self.omega_span))
 
     @property
     def delta_omega(self):
@@ -199,9 +194,7 @@ def gaussian_pulse(grid, sigma_omega):
     Requires omega_span >= 12*sigma_omega so the spectrum is negligible at
     the grid edges; temporal intensity FWHM is sqrt(2 ln 2)/sigma_omega.
     """
-    sigma = float(sigma_omega)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma_omega must be positive, got {sigma_omega!r}")
+    sigma = _positive("sigma_omega", sigma_omega)
     if grid.omega_span < 12.0 * sigma:
         raise ValueError(
             f"omega_span {grid.omega_span:g} below the 12-sigma rule for "

@@ -28,13 +28,14 @@ from .crystal import (
     _check_axis,
     _half_wave_roots,
     _refine_root,
+    _scan,
     _scan_roots,
     delay_arrays,
     group_delays,
     phase_arrays,
     phases,
 )
-from .errors import BadBracket, PostselectionNull
+from .errors import BadBracket, PostselectionNull, _finite, _positive
 from .jones import PolarizationState, basis_state, linear_state
 
 __all__ = [
@@ -156,9 +157,7 @@ def _weights(beta, pair):
     conjugated evolution operator into a diagonal one, leaving a weight per
     crystal axis.
     """
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
+    beta = _finite("beta", beta)
     c = math.cos(beta)
     s = math.sin(beta)
     v1 = c * pair.psi_in.a1 + s * pair.psi_in.a2
@@ -393,9 +392,7 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
     if method == "analytic":
         return weak_flight_value(model, omega, beta, pair).real
     if method == "numeric":
-        h = float(h)
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError(f"step h must be positive and finite, got {h!r}")
+        h = _positive("step h", h)
         stencil = np.empty(3)
         for i, w in enumerate((omega - h, omega, omega + h)):
             t = transfer(model, w, beta, pair)
@@ -521,19 +518,12 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     Zeros that form lines instead of points raise PostselectionNull: a gap
     within rounding of zero on the whole beta scan (crossed pairs), or a
     beta root with |p1| + |p2| < tol, where |T| < tol at every omega.  The
-    result is sorted by (omega, beta).
+    result is sorted by (omega, beta).  Both ranges need finite, increasing
+    ends, ``scan`` is an integer >= 2 and ``tol`` is finite and > 0.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    scan = int(scan)
-    if scan < 2:
-        raise ValueError("scan density must be at least 2")
-    w_lo, w_hi = (float(omega_range[0]), float(omega_range[1]))
-    b_lo, b_hi = (float(beta_range[0]), float(beta_range[1]))
-    if not (w_lo < w_hi and b_lo < b_hi):
-        raise ValueError("omega and beta ranges must be nonempty")
-    omegas = np.linspace(w_lo, w_hi, scan)
-    betas = np.linspace(b_lo, b_hi, scan)
+    tol = _positive("tol", tol)
+    omegas = _scan("omega_range", omega_range, scan)
+    betas = _scan("beta_range", beta_range, scan)
     phase_te, phase_tm = phase_arrays(model, omegas)
     p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
     gaps = p1re * p1re + p1im * p1im - (p2re * p2re + p2im * p2im)
@@ -669,11 +659,12 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
 
     # One array scan gives the same delays as 64 group_delay calls.  The
     # checks those calls make first run here in their order, so a bad omega
-    # or an overflowing bracket raises as a per-point scan would.
+    # or the NaN betas of an overflowing bracket raise as a per-point scan would.
     phi = phases(model, omega)
     tau = group_delays(model, omega)
-    _, grid, tre, tim, nre, nim = _grids(model, [float(omega)], np.linspace(lo, hi, 64), pair,
-                                         with_delay=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        betas = np.linspace(lo, hi, 64)
+    _, grid, tre, tim, nre, nim = _grids(model, [float(omega)], betas, pair, with_delay=True)
     _, singular, scanned = _delays(tre[0], tim[0], nre[0], nim[0])
     if singular.any():
         i = int(np.argmax(singular))

@@ -29,6 +29,7 @@ from weaklight import (
     group_delay,
     half_wave_frequencies,
     is_hermitian,
+    is_unitary,
     linear_state,
     load_tabulated,
     phase_spectrum,
@@ -810,6 +811,11 @@ def _raises(name, call, match):
     return pytest.param(call, match, id=name)
 
 
+def _refused(name, call, match):
+    """A ``_raises`` row that also fails on any warning, such as numpy's RuntimeWarning."""
+    return pytest.param(call, match, id=name, marks=pytest.mark.filterwarnings("error"))
+
+
 def _shape(name, shape):
     """The message part of ``_check_axis`` that names an axis and its shape."""
     return re.escape(f"got {name} with shape {shape}")
@@ -913,6 +919,48 @@ class TestArgumentChecks:
                 "sigma_omega must be positive"),
         _raises("dft-2d", lambda: fourier.dft_forward(np.zeros((2, 2))),
                 "expected a one-dimensional array"),
+        # scalar arguments: each rule has one check, which names the argument
+        # and refuses a value that it would otherwise truncate or overflow
+        *(_refused(f"singularities-tol={tol!r}",
+                   lambda tol=tol: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV,
+                                                      tol=tol),
+                   "tol must be positive and finite")
+          for tol in (math.nan, math.inf, "x")),
+        *(_refused(f"singularities-scan={scan!r}",
+                   lambda scan=scan: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV,
+                                                        scan=scan),
+                   "scan density must be at least 2 and an integer")
+          for scan in (2.7, "101")),
+        *(_refused(f"half-wave-scan={scan!r}",
+                   lambda scan=scan: half_wave_frequencies(DEFAULT_MODEL, (0.0, 4.0), scan=scan),
+                   "scan density must be at least 2 and an integer")
+          for scan in (2.7, "101")),
+        _refused("singularities-inf-omega-end",
+                 lambda: find_singularities(DEFAULT_MODEL, (0.5, math.inf), (0.0, PI), VV),
+                 re.escape("omega_range[1] must be finite, got inf")),
+        _refused("singularities-nan-omega-end",
+                 lambda: find_singularities(DEFAULT_MODEL, (math.nan, 1.5), (0.0, PI), VV),
+                 re.escape("omega_range[0] must be finite, got nan")),
+        _refused("singularities-inf-beta-end",
+                 lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (-math.inf, 0.0), VV),
+                 re.escape("beta_range[0] must be finite, got -inf")),
+        _refused("singularities-nan-beta-end",
+                 lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, math.nan), VV),
+                 re.escape("beta_range[1] must be finite, got nan")),
+        _refused("singularities-overflowing-width",
+                 lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (-1e308, 1e308), VV),
+                 "beta_range width must be finite, got inf"),
+        _refused("half-wave-overflowing-width",
+                 lambda: half_wave_frequencies(DEFAULT_MODEL, (-1e308, 1e308)),
+                 "omega_range width must be finite, got inf"),
+        _refused("unitary-tol-nan", lambda: is_unitary(rotation(0.3), math.nan),
+                 "tol must be positive and finite"),
+        _refused("hermitian-tol-nan", lambda: is_hermitian(rotation(0.3), tol=math.nan),
+                 "tol must be positive and finite"),
+        _refused("spectral-grid-fractional-n", lambda: SpectralGrid(64.9, 1.0, 0.64),
+                 re.escape("sample count must be a power of two >= 64, got 64.9")),
+        _refused("spectral-grid-string-n", lambda: SpectralGrid("64", 1.0, 0.64),
+                 re.escape("sample count must be a power of two >= 64, got '64'")),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
