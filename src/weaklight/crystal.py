@@ -387,8 +387,7 @@ def _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
 
 
 def _scan(name, interval, n):
-    """``n`` points from ``interval[0]`` to ``interval[1]``: finite, increasing ends
-    with a finite width, and an integer ``n`` >= 2 that is never truncated."""
+    """``np.linspace`` of a range with finite, increasing ends and width, at an integer n >= 2."""
     lo = _finite(f"{name}[0]", interval[0])
     hi = _finite(f"{name}[1]", interval[1])
     if not lo < hi:

@@ -35,9 +35,8 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform frequency grid: n samples spanning omega_span around omega_center.
-
-    n is an integer power of two >= 64; omega_center and omega_span > 0 are finite."""
+    """Uniform frequency grid: n samples spanning omega_span around omega_center;
+    n is an integer power of two >= 64, and omega_center and omega_span > 0 are finite."""
 
     n: int
     omega_center: float
