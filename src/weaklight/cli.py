@@ -346,37 +346,39 @@ def _sweep_chunks(plan, table, arg_t=None):
     T columns, and each distinct omega that its rows reach once, into
     ``_g17`` slot rows; the betas are formatted once per table when one
     batch reaches them all, else per batch.  A row is the slots of its seven
-    fields, each with its comma, and its flag, assembled in one row matrix
-    that every batch reuses.  ``arg_t`` replaces the table's column of that
-    name.  On a singular row, a T field whose value is NaN is left empty:
-    the group delay there, and an unwrapped phase.
+    fields, each with its comma, and its flag, assembled in the batch's own
+    row block.  ``arg_t`` replaces the table's column of that name.  On a
+    singular row, a T field whose value is NaN is left empty: the group delay
+    there, and an unwrapped phase.
     """
     yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
     n, nb = table.singular.shape[0], table.shape[-1]
     columns = (table.re_t, table.im_t, table.abs_t,
                table.arg_t if arg_t is None else arg_t, table.group_delay)
     width = _g17.WIDTH + 1
-    matrix = np.empty((min(_BATCH_ROWS, n), 7 * width + _FLAGS.shape[1]), np.uint8)
     betas = _g17.slots(table.beta[:nb], b",") if nb <= _BATCH_ROWS else None
     for start in range(0, n, _BATCH_ROWS):
         stop = min(start + _BATCH_ROWS, n)
-        rows = matrix[:stop - start]
+        rows = np.empty((stop - start, 7 * width + _FLAGS.shape[1]), np.uint8)
         at = np.arange(start, stop)
         # row r holds omega r // nb and beta r % nb
         first = start // nb
         omega = _g17.slots(table.omega[first * nb:(stop - 1) // nb * nb + 1:nb], b",")
         np.take(omega, at // nb - first, axis=0, out=rows[:, :width])
         if betas is None:
-            _g17.slots(table.beta[at % nb], b",", out=rows[:, width:2 * width])
+            rows[:, width:2 * width] = _g17.slots(table.beta[at % nb], b",")
         else:
             np.take(betas, at % nb, axis=0, out=rows[:, width:2 * width])
         values = np.column_stack([c[start:stop] for c in columns])
-        t = _g17.slots(values, b",",
-                       out=rows[:, 2 * width:7 * width].reshape(-1, len(columns), width))
+        t = _g17.slots(values, b",")
         flags = table.singular[start:stop]
         t[np.isnan(values) & flags[:, None], :_g17.WIDTH] = 0
+        rows[:, 2 * width:7 * width] = t.reshape(len(t), -1)
         rows[:, 7 * width:] = _FLAGS[flags.view(np.uint8)]
         yield _g17.text(rows)
+        # free this batch's blocks before the next one allocates its own, so
+        # that malloc reuses their pages instead of faulting in about 2 MB more
+        del rows, t
 
 
 def _float_array(values):

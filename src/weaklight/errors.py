@@ -18,18 +18,23 @@ class BadBracket(ValueError):
 
 
 def _finite(name, value):
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return x
+    """``value`` as a finite float; the message shows what ``float()`` made of it."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _positive(name, value):
     """``value`` as a float that is finite and > 0: a tolerance or a step."""
-    with suppress(TypeError, ValueError):
-        x = float(value)
-        if x > 0.0 and math.isfinite(x):
-            return x
+    with suppress(TypeError, ValueError, OverflowError):
+        value = float(value)
+        if value > 0.0 and math.isfinite(value):
+            return value
     raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -200,32 +200,33 @@ def _beta_weights(betas, pair):
     a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``.
     """
     c, s = _cos_sin_table(_check_axis("beta", betas))
-
-    # in place where the rounding is the same, so that few arrays are alive at once
-    def scaled(t, a):
-        re = t * a.real
-        re -= 0.0 * a.imag
-        im = t * a.imag
-        im += 0.0 * a.real
-        return re, im
-
-    def rotated(a, b, op):
-        # c a + s b, or c a - s b
-        (re, im), (sre, sim) = scaled(c, a), scaled(s, b)
-        return op(re, sre, out=re), op(im, sim, out=im)
-
-    def conj_times(w, v):
-        (wre, wim), (vre, vim) = w, v
-        wim = -wim
-        re = wre * vre
-        re -= wim * vim
-        im = wre * vim
-        im += wim * vre
-        return re, im
-
     f, i = pair.psi_f, pair.psi_in
-    p1 = conj_times(rotated(f.a1, f.a2, np.add), rotated(i.a1, i.a2, np.add))
-    return p1 + conj_times(rotated(f.a2, f.a1, np.subtract), rotated(i.a2, i.a1, np.subtract))
+    # the rotations w1, v1 (c a + s b) and w2, v2 (c a - s b) as rows, in place
+    # where the rounding is the same, so that few arrays are alive at once
+    a = np.array([f.a1, i.a1, f.a2, i.a2])[:, None]
+    b = np.array([f.a2, i.a2, f.a1, i.a1])[:, None]
+    re = c * a.real
+    re -= 0.0 * a.imag
+    im = c * a.imag
+    im += 0.0 * a.real
+    del c
+    t = s * b.real
+    t -= 0.0 * b.imag
+    re[:2] += t[:2]
+    re[2:] -= t[2:]
+    np.multiply(s, b.imag, out=t)
+    t += 0.0 * b.real
+    im[:2] += t[:2]
+    im[2:] -= t[2:]
+    del s, t
+    # (p1, p2) = conj(w) v, with w on rows 0 and 2 and v on rows 1 and 3
+    wre, vre, wim, vim = re[::2], re[1::2], im[::2], im[1::2]
+    np.negative(wim, out=wim)
+    pre = wre * vre
+    pim = wre * vim
+    pre -= np.multiply(wim, vim, out=wre)
+    pim += np.multiply(wim, vre, out=wre)
+    return pre[0], pim[0], pre[1], pim[1]
 
 
 def _grids(model, omegas, betas, pair, with_delay=False):

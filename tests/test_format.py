@@ -154,18 +154,19 @@ def test_g17_seeded_sample():
     assert_formats_like_percent(values)
 
 
-def test_g17_slots_into_a_view():
-    # a (rows, fields) array written into the middle of a larger row matrix,
-    # as a sweep batch writes its T columns, matches the flat rows around it
+def test_g17_slots_of_a_2d_array():
+    # a (rows, fields) array, as a sweep batch formats its T columns, gives
+    # fresh C-contiguous slot rows: those of the flattened array, each with its tail
     rng = np.random.default_rng(20261)
     values = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-20, 20, (40, 5))
     values[3, 1:4] = [0.0, math.nan, 2.0 ** -25]           # fallback values
     width = _g17.WIDTH + 1
-    matrix = np.full((40, 7 * width), 7, np.uint8)
-    view = matrix[:, width:6 * width].reshape(40, 5, width)
-    assert _g17.slots(values, b",", out=view) is view
-    assert np.array_equal(view.reshape(200, width), _g17.slots(values.ravel(), b","))
-    assert (matrix[:, :width] == 7).all() and (matrix[:, 6 * width:] == 7).all()
+    rows = _g17.slots(values, b",")
+    assert rows.shape == (40, 5, width) and rows.flags.c_contiguous
+    assert not np.shares_memory(rows, _g17.slots(values, b","))
+    assert np.array_equal(rows.reshape(200, width), _g17.slots(values.ravel(), b","))
+    assert (rows[..., _g17.WIDTH] == ord(",")).all()
+    assert _g17.text(rows[3]) == "".join("%.17g," % x for x in values[3].tolist())
 
 
 def test_g17_fallback_values():

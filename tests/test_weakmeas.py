@@ -953,6 +953,22 @@ class TestArgumentChecks:
         _refused("half-wave-overflowing-width",
                  lambda: half_wave_frequencies(DEFAULT_MODEL, (-1e308, 1e308)),
                  "omega_range width must be finite, got inf"),
+        # a value float() cannot convert is named; a numpy scalar prints as its float
+        _refused("singularities-string-omega-end",
+                 lambda: find_singularities(DEFAULT_MODEL, ("x", 1.5), (0.0, 3.0), VV),
+                 re.escape("omega_range[0] must be finite, got 'x'")),
+        _refused("half-wave-none-omega-end",
+                 lambda: half_wave_frequencies(DEFAULT_MODEL, (None, 1.0)),
+                 re.escape("omega_range[0] must be finite, got None")),
+        _refused("transfer-numpy-nan-beta",
+                 lambda: transfer(DEFAULT_MODEL, 1.0, np.float64("nan"), VV),
+                 re.escape("beta must be finite, got nan")),
+        _refused("transfer-huge-int-omega", lambda: transfer(DEFAULT_MODEL, 10 ** 400, 0.3, VV),
+                 "omega must be finite, got 1000"),
+        _refused("phases-numpy-inf-omega", lambda: phases(DEFAULT_MODEL, np.float64("inf")),
+                 re.escape("omega must be finite, got inf")),
+        _refused("unitary-tol-numpy-nan", lambda: is_unitary(rotation(0.3), np.float64("nan")),
+                 re.escape("tol must be positive and finite, got nan")),
         _refused("unitary-tol-nan", lambda: is_unitary(rotation(0.3), math.nan),
                  "tol must be positive and finite"),
         _refused("hermitian-tol-nan", lambda: is_hermitian(rotation(0.3), tol=math.nan),
