@@ -19,6 +19,7 @@ class BadBracket(ValueError):
 
 def _finite(name, value):
     """``value`` as a finite float; the message shows what ``float()`` made of it."""
+    # not contextlib.suppress, which costs about 0.4 µs on every scalar evaluation
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
