@@ -187,6 +187,17 @@ class _Resolver:
                 f"--{key} is required for {self.args.subcommand}")
         return default, False
 
+    def path(self, key):
+        """A path flag's value, or None when it is not given.
+
+        A config value must be a JSON string: open() would take an integer
+        or a boolean as a file descriptor.
+        """
+        value, _ = self.pick(key)
+        if value is not None and not isinstance(value, str):
+            self.parser.error(f"--{key} expects a path, got {value!r}")
+        return value
+
     def _float(self, key, value):
         try:
             if isinstance(value, bool):
@@ -294,7 +305,7 @@ def parse(argv=None):
     degrees = args.degrees or degrees
     res = _Resolver(parser, args, config, degrees)
 
-    csv_path, _ = res.pick("dispersion-csv")
+    csv_path = res.path("dispersion-csv")
     if csv_path is not None:
         try:
             model = load_tabulated(csv_path)
@@ -323,7 +334,7 @@ def parse(argv=None):
     if fmt == "json" and sub not in _JSON_SUBCOMMANDS:
         parser.error(f"{sub} output is csv only; --format json applies to "
                      f"{' and '.join(_JSON_SUBCOMMANDS)}")
-    output, _ = res.pick("output")
+    output = res.path("output")
 
     values, sub_tokens = res.flags(_SUBCOMMANDS[sub][1])
     plan = RunPlan(subcommand=sub, model=model, pair=pair, output=output, fmt=fmt,

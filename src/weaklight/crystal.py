@@ -157,18 +157,23 @@ DEFAULT_MODEL = LinearDispersion()
 def domain(model):
     """Valid omega interval; linear models cover all omega >= 0."""
     if isinstance(model, TabulatedDispersion):
-        return (float(model.omega_samples[0]), float(model.omega_samples[-1]))
+        return (model._knots[0], model._knots[-1])
     return (0.0, math.inf)
+
+
+def _check_domain(model, wmin, wmax):
+    """The one omega-domain check: refuse omegas from ``wmin`` to ``wmax`` outside ``domain``."""
+    lo, hi = domain(model)
+    if wmin < lo or wmax > hi:
+        omega = wmin if wmin < lo else wmax
+        if isinstance(model, TabulatedDispersion):
+            raise ValueError(f"omega {omega!r} outside tabulated range [{lo:g}, {hi:g}]")
+        raise ValueError(f"omega must be nonnegative, got {omega!r}")
 
 
 def _check_omega(model, omega):
     omega = _finite("omega", omega)
-    lo, hi = domain(model)
-    if omega < lo or omega > hi:
-        if isinstance(model, TabulatedDispersion):
-            raise ValueError(
-                f"omega {omega!r} outside tabulated range [{lo:g}, {hi:g}]")
-        raise ValueError(f"omega must be nonnegative, got {omega!r}")
+    _check_domain(model, omega, omega)
     return omega
 
 
@@ -220,10 +225,13 @@ def _check_axis(name, values):
     """``values`` as a contiguous float64 array that is nonempty, one-dimensional and finite.
 
     The one check of these properties on every sweep axis and sampled array
-    of the package.  A ValueError names the input ``name``; for a
-    non-finite entry it also gives the first one, as the scalar checks do.
+    of the package.  A ValueError names the input ``name``, with numpy's
+    reason for values it cannot convert and the first non-finite entry.
     """
-    a = np.asarray(values, dtype=float, order="C")
+    try:
+        a = np.asarray(values, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold real numbers: {exc}") from None
     if a.ndim != 1 or a.size == 0:
         raise ValueError("sweep axes must be nonempty one-dimensional arrays, "
                          f"got {name} with shape {a.shape}")
@@ -236,14 +244,7 @@ def _check_axis(name, values):
 def _check_omegas(model, omegas):
     """``omegas`` as a checked axis (``_check_axis``) inside the model's domain."""
     w = _check_axis("omega array", omegas)
-    lo, hi = domain(model)
-    wmin, wmax = float(w.min()), float(w.max())
-    if wmin < lo or wmax > hi:
-        if isinstance(model, TabulatedDispersion):
-            raise ValueError(
-                f"omega range [{wmin:g}, {wmax:g}] outside tabulated "
-                f"range [{lo:g}, {hi:g}]")
-        raise ValueError(f"omega must be nonnegative, got minimum {wmin!r}")
+    _check_domain(model, float(w.min()), float(w.max()))
     return w
 
 
@@ -411,11 +412,6 @@ def half_wave_frequencies(model, omega_range, scan=1000):
     increasing ends, and ``scan`` is an integer >= 2, never truncated.
     """
     omegas = _scan("omega_range", omega_range, scan)
-    dom_lo, dom_hi = domain(model)
-    if omegas[0] < dom_lo or omegas[-1] > dom_hi:
-        raise ValueError(
-            f"omega range [{omegas[0]:g}, {omegas[-1]:g}] outside model domain "
-            f"[{dom_lo:g}, {dom_hi:g}]")
     return _half_wave_roots(model, omegas, *phase_arrays(model, omegas), 0.0)
 
 

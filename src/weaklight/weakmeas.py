@@ -257,7 +257,7 @@ def _grids(model, omegas, betas, pair, with_delay=False):
 
 def transfer_line(model, omegas, beta, pair):
     """Complex T along an ascendingly ordered omega array at fixed beta: a grid column."""
-    return transfer_grid(model, omegas, np.array([float(beta)]), pair)[:, 0]
+    return transfer_grid(model, omegas, [beta], pair)[:, 0]
 
 
 def transfer_grid(model, omegas, betas, pair):
@@ -489,7 +489,7 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
 
 def sweep_angle(model, omega, betas, pair):
     """Samples at fixed omega, one per beta in input order: the one row of a contour grid."""
-    return contour_grid(model, [float(omega)], betas, pair)[0]
+    return contour_grid(model, [omega], betas, pair)[0]
 
 
 def contour_grid(model, omegas, betas, pair):
@@ -653,9 +653,12 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     an adjacent-doubles sign change of ``group_delay - tau_measured``, or a
     beta where it is exactly zero.
     """
-    tau_measured = float(tau_measured)
-    lo, hi = (float(bracket[0]), float(bracket[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    tau_measured = _finite("tau_measured", tau_measured)
+    try:
+        lo, hi = _finite("bracket[0]", bracket[0]), _finite("bracket[1]", bracket[1])
+    except ValueError as exc:
+        raise BadBracket(str(exc)) from None
+    if not lo < hi:
         raise BadBracket(f"bracket ({lo!r}, {hi!r}) is not an increasing interval")
 
     # One array scan gives the same delays as 64 group_delay calls.  The
@@ -665,7 +668,7 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     tau = group_delays(model, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         betas = np.linspace(lo, hi, 64)
-    _, grid, tre, tim, nre, nim = _grids(model, [float(omega)], betas, pair, with_delay=True)
+    _, grid, tre, tim, nre, nim = _grids(model, [omega], betas, pair, with_delay=True)
     _, singular, scanned = _delays(tre[0], tim[0], nre[0], nim[0])
     if singular.any():
         i = int(np.argmax(singular))

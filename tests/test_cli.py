@@ -425,6 +425,11 @@ USAGE_ERRORS = [
     (["pulse"], '{"samples": 1099511627776}',
      "--samples 1099511627776 is above the cap of 1048576"),
     (["singularities", "--scan", "1000001"], None, "--scan 1000001 is above the cap of 1000000"),
+    # open() takes an integer or a boolean as a file descriptor
+    (["contour"], '{"output": true}', "--output expects a path, got True"),
+    (["contour"], '{"output": 5}', "--output expects a path, got 5"),
+    (["contour"], '{"output": ["a"]}', "--output expects a path, got ['a']"),
+    (["contour"], '{"dispersion-csv": 0}', "--dispersion-csv expects a path, got 0"),
 ]
 
 MODEL_HELP = [

@@ -21,7 +21,7 @@ from weaklight import (
     load_tabulated,
     phases,
 )
-from weaklight.crystal import _bisect_root, _refine_root, delay_arrays, phase_arrays
+from weaklight.crystal import _bisect_root, _refine_root, delay_arrays, domain, phase_arrays
 
 PI = math.pi
 
@@ -174,8 +174,15 @@ class TestHalfWaveFrequencies:
     @pytest.mark.parametrize("model, omega_range", [
         (RAMP, (0.0, 2.5)), (RAMP, (-0.5, 1.0)), (DEFAULT_MODEL, (-1.0, 1.0))])
     def test_range_outside_domain_rejected(self, model, omega_range):
-        with pytest.raises(ValueError, match="outside model domain"):
+        # one check words every refusal: the scan says of the end that leaves
+        # the domain what phases() and phase_arrays() say of it
+        with pytest.raises(ValueError, match="outside tabulated range|must be nonnegative"):
             half_wave_frequencies(model, omega_range)
+        lo, hi = omega_range
+        end = lo if lo < domain(model)[0] else hi
+        assert error_message(half_wave_frequencies, model, omega_range) \
+            == error_message(phases, model, end) \
+            == error_message(phase_arrays, model, np.linspace(lo, hi, 7))
 
     @pytest.mark.parametrize("scan", [1, 0, -3])
     def test_scan_below_two_rejected(self, scan):

@@ -181,6 +181,15 @@ class TestPeakTime:
         field = PulseField.from_temporal(GRID, u)
         assert peak_time(field) == GRID.times()[100]
 
+    @pytest.mark.parametrize("k", [0, GRID.n - 1])
+    def test_edge_peak_is_that_sample(self, k):
+        # no neighbour on one side, so no parabolic refinement
+        u = np.zeros(GRID.n, dtype=complex)
+        u[k] = 2.0
+        u[1 if k == 0 else k - 1] = 1.0
+        field = PulseField.from_temporal(GRID, u)
+        assert peak_time(field) == GRID.times()[k]
+
     def test_gaussian_between_samples(self):
         t = GRID.times()
         center = 0.5 * (t[2048] + t[2049])

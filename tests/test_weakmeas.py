@@ -149,6 +149,11 @@ class TestTransfer:
             assert transfer(swapped, omega, PI / 2 - beta, VV) == pytest.approx(
                 transfer(DEFAULT_MODEL, omega, beta, VV), abs=1e-12)
 
+    def test_selection_keeps_states(self):
+        psi_in, psi_f = linear_state(0.3), PolarizationState(math.sqrt(0.5), 1j * math.sqrt(0.5))
+        pair = selection(psi_in, psi_f)
+        assert pair.psi_in is psi_in and pair.psi_f is psi_f
+
     def test_grid_matches_scalar_bitwise(self):
         omegas = np.linspace(0.3, 2.7, 23)
         betas = np.linspace(-1.0, 4.0, 19)
@@ -977,10 +982,49 @@ class TestArgumentChecks:
                  re.escape("sample count must be a power of two >= 64, got 64.9")),
         _refused("spectral-grid-string-n", lambda: SpectralGrid("64", 1.0, 0.64),
                  re.escape("sample count must be a power of two >= 64, got '64'")),
+        # every input goes through the one check of its kind: an axis value
+        # numpy cannot convert, and a scalar float() cannot, are named
+        _refused("contour-string-omega",
+                 lambda: contour_grid(DEFAULT_MODEL, ["x", 1.0], [0.5], VV),
+                 "omega array must hold real numbers"),
+        _refused("contour-ragged-betas",
+                 lambda: contour_grid(DEFAULT_MODEL, [1.0], [[0.5], [0.5, 0.6]], VV),
+                 "beta must hold real numbers"),
+        _refused("contour-huge-int-omega",
+                 lambda: contour_grid(DEFAULT_MODEL, [10 ** 400], [0.5], VV),
+                 "omega array must hold real numbers"),
+        _refused("transfer-line-string-beta",
+                 lambda: transfer_line(DEFAULT_MODEL, [1.0], "x", VV),
+                 "beta must hold real numbers"),
+        _refused("transfer-line-object-beta",
+                 lambda: transfer_line(DEFAULT_MODEL, [1.0], object(), VV),
+                 "beta must hold real numbers"),
+        _refused("transfer-line-array-beta",
+                 lambda: transfer_line(DEFAULT_MODEL, [1.0], np.array([0.3]), VV),
+                 _shape("beta", (1, 1))),
+        _refused("sweep-angle-complex-omega",
+                 lambda: sweep_angle(DEFAULT_MODEL, 1j, [0.5], VV),
+                 "omega array must hold real numbers"),
+        _refused("unwrap-strings", lambda: unwrap(["a", "b"]), "phases must hold real numbers"),
+        _refused("estimate-beta-string-tau",
+                 lambda: estimate_beta(DEFAULT_MODEL, 1.0, VV, "x", (0.6, 0.78)),
+                 re.escape("tau_measured must be finite, got 'x'")),
+        _refused("estimate-beta-none-tau",
+                 lambda: estimate_beta(DEFAULT_MODEL, 1.0, VV, None, (0.6, 0.78)),
+                 "tau_measured must be finite, got None"),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    @pytest.mark.parametrize("bracket, match", [
+        (("x", 0.78), "bracket[0] must be finite, got 'x'"),
+        ((0.6, None), "bracket[1] must be finite, got None"),
+        ((0.6, math.nan), "bracket[1] must be finite, got nan")])
+    def test_unusable_bracket_end(self, bracket, match):
+        # an end float() cannot convert is a bad bracket, as a non-finite end is
+        with pytest.raises(BadBracket, match=re.escape(match)):
+            estimate_beta(DEFAULT_MODEL, 1.0, VV, 30.0, bracket)
 
     def test_selection_pair_needs_states(self):
         with pytest.raises(TypeError, match="PolarizationState"):
