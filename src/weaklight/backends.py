@@ -1,12 +1,11 @@
 """The two numpy kernels under the sweep grids and the DFT.
 
-``bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im)``
-    fills ``out[i, j] = p1[j] * a[i] + p2[j] * b[i]`` (complex, split into
-    real/imaginary float64 arrays; ``out`` has shape ``(len(a), len(p1))``,
-    omega-major when ``a`` and ``b`` are the omega tables and ``p1`` and
-    ``p2`` the beta weights), in the operation order of
-    ``weakmeas._combine``, so scalar and grid evaluations of a point agree
-    bitwise.
+``bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im)``
+    the real and imaginary float64 grids of ``p1[j] * a[i] + p2[j] * b[i]``,
+    shape ``(len(a), len(p1))``: omega-major when ``a`` and ``b`` are the
+    omega tables and ``p1`` and ``p2`` the beta weights.  Each cell is
+    ``_bilinear``, the expression the scalar path evaluates on Python floats,
+    so scalar and grid evaluations of a point agree bitwise.
 
 ``fft_butterflies(re, im, tw_re, tw_im)``
     in-place radix-2 Cooley-Tukey butterflies on bit-reversal-permuted data;
@@ -29,13 +28,15 @@ def active_backend():
     return "reference"
 
 
-def bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im):
-    are = are[:, None]
-    aim = aim[:, None]
-    bre = bre[:, None]
-    bim = bim[:, None]
-    out_re[:, :] = p1re * are - p1im * aim + p2re * bre - p2im * bim
-    out_im[:, :] = p1re * aim + p1im * are + p2re * bim + p2im * bre
+def _bilinear(are, aim, bre, bim, p1re, p1im, p2re, p2im):
+    """(re, im) of p1 * a + p2 * b, on Python floats or broadcasting arrays alike."""
+    return (p1re * are - p1im * aim + p2re * bre - p2im * bim,
+            p1re * aim + p1im * are + p2re * bim + p2im * bre)
+
+
+def bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im):
+    return _bilinear(are[:, None], aim[:, None], bre[:, None], bim[:, None],
+                     p1re, p1im, p2re, p2im)
 
 
 # stages with fewer twiddles than this run one strided pass per twiddle over

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import _finite
+from .errors import _ends, _finite
 from .jones import PolarizationOperator, rotation
 
 __all__ = [
@@ -213,12 +213,15 @@ def _sums(coeffs, i, s):
 
 
 def phases(model, omega):
-    """(phi_te, phi_tm) at a single frequency."""
+    """(phi_te, phi_tm) at a single frequency; same rules as ``phase_arrays``."""
     omega = _check_omega(model, omega)
     if isinstance(model, LinearDispersion):
-        return (model.tau_te * omega + model.phi0_te,
-                model.tau_tm * omega + model.phi0_tm)
-    return _piece(model._knots, model._phi_coeffs, omega)
+        phi = (model.tau_te * omega + model.phi0_te, model.tau_tm * omega + model.phi0_tm)
+    else:
+        phi = _piece(model._knots, model._phi_coeffs, omega)
+    if not (math.isfinite(phi[0]) and math.isfinite(phi[1])):
+        raise ValueError(f"phase is not finite at omega {omega!r}")
+    return phi
 
 
 def _check_axis(name, values):
@@ -228,6 +231,9 @@ def _check_axis(name, values):
     of the package.  A ValueError names the input ``name``, with numpy's
     reason for values it cannot convert and the first non-finite entry.
     """
+    # numpy casts a complex array to floats with only a ComplexWarning
+    if getattr(getattr(values, "dtype", None), "kind", "") == "c":
+        raise ValueError(f"{name} must hold real numbers, got {values.dtype} values")
     try:
         a = np.asarray(values, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
@@ -252,7 +258,7 @@ def phase_arrays(model, omegas):
     """Vectorized phases(); same domain rules, returns two float arrays.
 
     A phase that overflows to a non-finite value raises ValueError naming
-    its omega, as the cos/sin of it would on the scalar path.
+    its omega, on this path and the scalar one alike.
     """
     w = _check_omegas(model, omegas)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -389,8 +395,7 @@ def _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
 
 def _scan(name, interval, n):
     """``np.linspace`` of a range with finite, increasing ends and width, at an integer n >= 2."""
-    lo = _finite(f"{name}[0]", interval[0])
-    hi = _finite(f"{name}[1]", interval[1])
+    lo, hi = _ends(name, interval)
     if not lo < hi:
         raise ValueError(f"empty {name} [{lo!r}, {hi!r}]")
     _finite(f"{name} width", hi - lo)

@@ -30,6 +30,15 @@ def _finite(name, value):
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _ends(name, value):
+    """The two ends of the range ``value`` as finite floats; a range is exactly a pair."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair (lo, hi), got {value!r}") from None
+    return _finite(f"{name}[0]", lo), _finite(f"{name}[1]", hi)
+
+
 def _positive(name, value):
     """``value`` as a float that is finite and > 0: a tolerance or a step."""
     with suppress(TypeError, ValueError, OverflowError):

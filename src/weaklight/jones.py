@@ -32,18 +32,15 @@ _RENORM_LIMIT = 1e-6   # |norm - 1| beyond this is rejected, not repaired
 
 
 def _finite_complex(name, value):
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return z
-
-
-def _finite_angle(name, value):
+    """``value`` as a finite complex, the complex counterpart of ``errors._finite``."""
     try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real angle, got {value!r}") from None
-    return _finite(name, x)
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,13 @@ def basis_state(label):
 
 def linear_state(theta):
     """Linear polarization at angle theta (radians) from the z-axis toward x."""
-    theta = _finite_angle("theta", theta)
+    theta = _finite("theta", theta)
     return PolarizationState(complex(math.cos(theta)), complex(math.sin(theta)))
 
 
 def rotation(beta):
     """Rotation by beta in the xz-plane: [[cos b, -sin b], [sin b, cos b]]."""
-    beta = _finite_angle("beta", beta)
+    beta = _finite("beta", beta)
     c = math.cos(beta)
     s = math.sin(beta)
     return PolarizationOperator(complex(c), complex(-s), complex(s), complex(c))

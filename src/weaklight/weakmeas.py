@@ -14,7 +14,6 @@ contour grid, because the transfer-function zeros carry a phase winding that
 makes two-dimensional unwrapping ill-defined.
 """
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
+from .backends import _bilinear
 from .crystal import (
     _ROUNDING,
     _bisect_root,
@@ -35,7 +35,7 @@ from .crystal import (
     phase_arrays,
     phases,
 )
-from .errors import BadBracket, PostselectionNull, _finite, _positive
+from .errors import BadBracket, PostselectionNull, _ends, _finite, _positive
 from .jones import PolarizationState, basis_state, linear_state
 
 __all__ = [
@@ -151,7 +151,7 @@ class PhaseSpectrum:
 
 
 def _weights(beta, pair):
-    """Complex pair (p1, p2) with T = p1 e^{i phi_te} + p2 e^{i phi_tm}.
+    """(p1.real, p1.imag, p2.real, p2.imag) with T = p1 e^{i phi_te} + p2 e^{i phi_tm}.
 
     Rotating both selection states into the crystal frame turns the
     conjugated evolution operator into a diagonal one, leaving a weight per
@@ -164,23 +164,20 @@ def _weights(beta, pair):
     v2 = c * pair.psi_in.a2 - s * pair.psi_in.a1
     w1 = c * pair.psi_f.a1 + s * pair.psi_f.a2
     w2 = c * pair.psi_f.a2 - s * pair.psi_f.a1
-    return (w1.conjugate() * v1, w2.conjugate() * v2)
+    p1, p2 = w1.conjugate() * v1, w2.conjugate() * v2
+    return p1.real, p1.imag, p2.real, p2.imag
 
 
-def _combine(p1, p2, are, aim, bre, bim):
-    # Same operation order as backends.bilinear_grid, so scalar and grid
-    # evaluations of the same point agree bitwise.
-    re = p1.real * are - p1.imag * aim + p2.real * bre - p2.imag * bim
-    im = p1.real * aim + p1.imag * are + p2.real * bim + p2.imag * bre
-    return complex(re, im)
+def _gap(p1re, p1im, p2re, p2im):
+    """The weight gap |p1|^2 - |p2|^2, on ``_weights`` or ``_beta_weights`` alike."""
+    return p1re * p1re + p1im * p1im - (p2re * p2re + p2im * p2im)
 
 
 def transfer(model, omega, beta, pair):
     """Post-selected complex response T(omega, beta); |T| <= 1 always."""
     phi_te, phi_tm = phases(model, omega)
-    p1, p2 = _weights(beta, pair)
-    return _combine(p1, p2, math.cos(phi_te), math.sin(phi_te),
-                    math.cos(phi_tm), math.sin(phi_tm))
+    return complex(*_bilinear(math.cos(phi_te), math.sin(phi_te),
+                              math.cos(phi_tm), math.sin(phi_tm), *_weights(beta, pair)))
 
 
 def _cos_sin_table(values):
@@ -191,7 +188,7 @@ def _cos_sin_table(values):
 
 
 def _beta_weights(betas, pair):
-    """``_weights`` over a beta array as (p1.real, p1.imag, p2.real, p2.imag).
+    """``_weights`` over a beta array, as the same four parts.
 
     Float arrays repeat CPython's complex arithmetic operation for operation,
     so each element matches ``_weights`` bitwise, signed zeros included: a
@@ -240,18 +237,12 @@ def _grids(model, omegas, betas, pair, with_delay=False):
     betas = _check_axis("beta", betas)
     # the phases are freed once their tables exist, before the kernel runs
     (cte, ste), (ctm, stm) = map(_cos_sin_table, phase_arrays(model, omegas))
-    p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
-    shape = (omegas.size, betas.size)
-    tre = np.empty(shape)
-    tim = np.empty(shape)
-    backends.bilinear_grid(cte, ste, ctm, stm, p1re, p1im, p2re, p2im, tre, tim)
+    weights = _beta_weights(betas, pair)
+    tre, tim = backends.bilinear_grid(cte, ste, ctm, stm, *weights)
     if not with_delay:
         return omegas, betas, tre, tim
     dte, dtm = delay_arrays(model, omegas)
-    nre = np.empty(shape)
-    nim = np.empty(shape)
-    backends.bilinear_grid(dte * cte, dte * ste, dtm * ctm, dtm * stm,
-                           p1re, p1im, p2re, p2im, nre, nim)
+    nre, nim = backends.bilinear_grid(dte * cte, dte * ste, dtm * ctm, dtm * stm, *weights)
     return omegas, betas, tre, tim, nre, nim
 
 
@@ -351,18 +342,18 @@ def phase_spectrum(model, beta, pair, omegas):
 
 
 def _t_and_numerator(model, omega, beta, pair):
+    """(re, im) of T and of the weak-value numerator N at one point."""
     phi_te, phi_tm = phases(model, omega)
     tau_te, tau_tm = group_delays(model, omega)
-    p1, p2 = _weights(beta, pair)
+    weights = _weights(beta, pair)
     cte, ste = math.cos(phi_te), math.sin(phi_te)
     ctm, stm = math.cos(phi_tm), math.sin(phi_tm)
-    t = _combine(p1, p2, cte, ste, ctm, stm)
-    num = _combine(p1, p2, tau_te * cte, tau_te * ste, tau_tm * ctm, tau_tm * stm)
-    return t, num
+    return (_bilinear(cte, ste, ctm, stm, *weights),
+            _bilinear(tau_te * cte, tau_te * ste, tau_tm * ctm, tau_tm * stm, *weights))
 
 
-def _null_check(t, omega, beta):
-    abs_t = math.sqrt(t.real * t.real + t.imag * t.imag)
+def _null_check(tre, tim, omega, beta):
+    abs_t = math.sqrt(tre * tre + tim * tim)
     if abs_t < SINGULAR_TOL:
         raise PostselectionNull(
             f"|T| = {abs_t:.3e} below singular tolerance {SINGULAR_TOL:g} "
@@ -375,11 +366,10 @@ def weak_flight_value(model, omega, beta, pair):
     The real part is the group delay d(arg T)/d(omega); the negated imaginary
     part is the log-magnitude slope d(ln |T|)/d(omega).
     """
-    t, num = _t_and_numerator(model, omega, beta, pair)
-    _null_check(t, omega, beta)
-    den = t.real * t.real + t.imag * t.imag
-    return complex((num.real * t.real + num.imag * t.imag) / den,
-                   (num.imag * t.real - num.real * t.imag) / den)
+    (tre, tim), (nre, nim) = _t_and_numerator(model, omega, beta, pair)
+    _null_check(tre, tim, omega, beta)
+    den = tre * tre + tim * tim
+    return complex((nre * tre + nim * tim) / den, (nim * tre - nre * tim) / den)
 
 
 def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
@@ -397,7 +387,7 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
         stencil = np.empty(3)
         for i, w in enumerate((omega - h, omega, omega + h)):
             t = transfer(model, w, beta, pair)
-            _null_check(t, w, beta)
+            _null_check(t.real, t.imag, w, beta)
             stencil[i] = math.atan2(t.imag, t.real)
         ph = unwrap(stencil)
         return (ph[2] - ph[0]) / (2.0 * h)
@@ -526,28 +516,24 @@ def find_singularities(model, omega_range, beta_range, pair, scan=101, tol=1e-10
     omegas = _scan("omega_range", omega_range, scan)
     betas = _scan("beta_range", beta_range, scan)
     phase_te, phase_tm = phase_arrays(model, omegas)
-    p1re, p1im, p2re, p2im = _beta_weights(betas, pair)
-    gaps = p1re * p1re + p1im * p1im - (p2re * p2re + p2im * p2im)
+    gaps = _gap(*_beta_weights(betas, pair))
     if np.all(np.abs(gaps) <= _ROUNDING):
         raise PostselectionNull(
             "|p1| = |p2| on the whole beta scan: the zeros of T in the window, "
             "if any, form lines, not points")
-
-    def gap(b):
-        p1, p2 = _weights(b, pair)
-        return p1.real * p1.real + p1.imag * p1.imag - (p2.real * p2.real + p2.imag * p2.imag)
 
     found = []
     # omega roots per offset reduced to (-pi, pi], where a linear pair's
     # offsets of 0.0 and +-2*pi meet; -0.0 and 0.0 are one key, and
     # cos(-x) = cos(x) gives them the same roots
     omega_roots = {}
-    for b in _scan_roots(gap, betas, gaps, _ROUNDING):
-        p1, p2 = _weights(b, pair)
-        if abs(p1) + abs(p2) < tol:
+    for b in _scan_roots(lambda b: _gap(*_weights(b, pair)), betas, gaps, _ROUNDING):
+        p1re, p1im, p2re, p2im = _weights(b, pair)
+        # abs of a complex is libm's hypot, which math.hypot is not
+        if abs(complex(p1re, p1im)) + abs(complex(p2re, p2im)) < tol:
             raise PostselectionNull(
                 f"p1 = p2 = 0 at beta={b!r}: |T| < tol at every omega there")
-        offset = math.remainder(cmath.phase(p1) - cmath.phase(p2), math.tau)
+        offset = math.remainder(math.atan2(p1im, p1re) - math.atan2(p2im, p2re), math.tau)
         if offset == -math.pi:
             offset = math.pi
         if offset not in omega_roots:
@@ -655,7 +641,7 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     """
     tau_measured = _finite("tau_measured", tau_measured)
     try:
-        lo, hi = _finite("bracket[0]", bracket[0]), _finite("bracket[1]", bracket[1])
+        lo, hi = _ends("bracket", bracket)
     except ValueError as exc:
         raise BadBracket(str(exc)) from None
     if not lo < hi:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import weaklight
-from weaklight import backends, weakmeas
+from weaklight import backends
 from weaklight.fourier import _tables, dft_forward, dft_inverse
 
 
@@ -147,22 +147,20 @@ def bits(x):
 class TestBilinearGrid:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n_omega=st.integers(1, 6), n_beta=st.integers(1, 6))
-    def test_omega_major_and_bitwise_equal_to_combine(self, data, n_omega, n_beta):
-        are, aim, bre, bim = (data.draw(arrays(float, n_omega, elements=finite))
-                              for _ in range(4))
-        p1re, p1im, p2re, p2im = (data.draw(arrays(float, n_beta, elements=finite))
-                                  for _ in range(4))
-        out_re = np.empty((n_omega, n_beta))
-        out_im = np.empty((n_omega, n_beta))
+    def test_omega_major_and_bitwise_equal_to_scalar_call(self, data, n_omega, n_beta):
+        omega_tables = [data.draw(arrays(float, n_omega, elements=finite)) for _ in range(4)]
+        weights = [data.draw(arrays(float, n_beta, elements=finite)) for _ in range(4)]
         # drawn magnitudes overflow, and inf - inf is NaN, on both paths alike
         with np.errstate(over="ignore", invalid="ignore"):
-            backends.bilinear_grid(are, aim, bre, bim, p1re, p1im, p2re, p2im, out_re, out_im)
-            for i in range(n_omega):
-                for j in range(n_beta):
-                    t = weakmeas._combine(complex(p1re[j], p1im[j]), complex(p2re[j], p2im[j]),
-                                          are[i], aim[i], bre[i], bim[i])
-                    assert bits(out_re[i, j]) == bits(t.real), (i, j)
-                    assert bits(out_im[i, j]) == bits(t.imag), (i, j)
+            out_re, out_im = backends.bilinear_grid(*omega_tables, *weights)
+        assert out_re.shape == out_im.shape == (n_omega, n_beta)
+        for i in range(n_omega):
+            for j in range(n_beta):
+                # the scalar path's call, on Python floats
+                re, im = backends._bilinear(*(float(a[i]) for a in omega_tables),
+                                            *(float(p[j]) for p in weights))
+                assert bits(out_re[i, j]) == bits(re), (i, j)
+                assert bits(out_im[i, j]) == bits(im), (i, j)
 
 
 class TestActiveBackend:

@@ -116,12 +116,14 @@ class TestGroupDelays:
 
     def test_overflowing_phase_arrays_raise(self):
         # math.cos of an infinite phase raises where np.cos gives NaN, so the
-        # phase arrays refuse it, naming the first such omega, without warnings
+        # phase arrays refuse it, naming the first such omega, without
+        # warnings, and scalar phases refuse it in the same words
         steep = LinearDispersion(tau_te=1e300, tau_tm=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert (error_message(phase_arrays, steep, [1.0, 1e9, 1e10])
-                    == "phase is not finite at omega 1000000000.0")
+                    == "phase is not finite at omega 1000000000.0"
+                    == error_message(phases, steep, 1e9))
             assert (error_message(phase_arrays, DEFAULT_MODEL, [1.0, 1e308])
                     == "phase is not finite at omega 1e+308")
             te, tm = phase_arrays(steep, [1.0, 1e8])

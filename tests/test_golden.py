@@ -18,13 +18,26 @@ kernels differ from libm's ``exp`` and ``atan2`` in the last bit on some
 inputs, and the committed bytes are theirs.  At ``X86_V3`` and below numpy
 agrees with libm, so with ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
 X86_V4"`` both cases, and so both across-batches tests, fail.
+
+Every golden holds only for the bits of ``cos``, ``sin``, ``atan2`` and
+``exp`` that wrote it, in ``math`` (the C library's) and in numpy.
+``LIBM_FINGERPRINT`` pins the sha256 of both modules' four functions over a
+seeded corpus, as written with glibc 2.36 and numpy 2.4.6 at numpy's
+``X86_V4`` dispatch level: the goldens hold for this fingerprint.  A host
+whose C library or numpy dispatch rounds any of them differently fails
+``test_libm_fingerprint``, and each golden mismatch says whether the
+fingerprint still matches, so a failure names its cause: the code, or the
+host's arithmetic.
 """
 
 import contextlib
+import hashlib
 import io
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weaklight import cli
@@ -73,6 +86,41 @@ CASES = {
 }
 
 
+# sha256 of libm_fingerprint()'s values where the goldens were written
+LIBM_FINGERPRINT = "df27eec47761716acbbc7fff9a30332851e435abf14db02de02d7b1cc1e50da3"
+
+
+def libm_fingerprint():
+    """sha256 of math's and numpy's cos, sin, atan2 and exp on a seeded corpus.
+
+    cos and sin on [-700, 700], atan2 on the unit box and exp on [-745, 0],
+    4096 points each: enough that a C library or numpy kernel which rounds
+    differently in the last bit on a fraction of a percent of inputs changes
+    the digest.
+    """
+    rng = np.random.default_rng(2003)
+    x = rng.uniform(-700.0, 700.0, 4096)
+    y, z = rng.uniform(-1.0, 1.0, (2, 4096))
+    e = rng.uniform(-745.0, 0.0, 4096)
+    xs, ys, zs, es = (a.tolist() for a in (x, y, z, e))
+    digest = hashlib.sha256()
+    for values in (np.cos(x), np.sin(x), np.arctan2(y, z), np.exp(e),
+                   list(map(math.cos, xs)), list(map(math.sin, xs)),
+                   list(map(math.atan2, ys, zs)), list(map(math.exp, es))):
+        digest.update(np.asarray(values, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def mismatch(name):
+    """The message of a golden mismatch: whether the host's arithmetic is the goldens'."""
+    if libm_fingerprint() == LIBM_FINGERPRINT:
+        return (f"{name} differs from its golden while the libm fingerprint matches: "
+                "the code changed the bytes")
+    return (f"{name} differs from its golden, and so does this host's libm fingerprint: "
+            "its cos, sin, atan2 or exp rounds differently from the goldens' host "
+            "(see test_libm_fingerprint)")
+
+
 def golden_file(name):
     argv = CASES[name][0]
     json_out = argv[0] == "pulse" or "json" in argv
@@ -94,7 +142,7 @@ def run_case(name, out_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    assert run_case(name, tmp_path) == golden_file(name).read_bytes()
+    assert run_case(name, tmp_path) == golden_file(name).read_bytes(), mismatch(name)
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -102,7 +150,13 @@ def test_golden_bytes_across_batches(rows, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.setattr(cli, "_BATCH_ROWS", rows)
     for name in sorted(CASES):
-        assert run_case(name, tmp_path) == golden_file(name).read_bytes(), name
+        assert run_case(name, tmp_path) == golden_file(name).read_bytes(), mismatch(name)
+
+
+def test_libm_fingerprint():
+    assert libm_fingerprint() == LIBM_FINGERPRINT, (
+        "this host's cos, sin, atan2 or exp (math or numpy) rounds differently "
+        "from the host that wrote the goldens, which need not hold here")
 
 
 def test_golden_cases_cover_singular_rows():

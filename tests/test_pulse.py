@@ -17,8 +17,10 @@ from weaklight import (
     selection,
     transfer_line,
 )
+from conftest import random_pair
 from weaklight.fourier import dft_forward, dft_inverse
 from weaklight.pulse import _analysis, _synthesis
+from weaklight.weakmeas import SINGULAR_TOL, _grids
 
 PI = math.pi
 VV = selection("V", "V")
@@ -271,3 +273,94 @@ class TestPropagate:
         out, _ = propagate(DEFAULT_MODEL, 0.1, VV, p)
         assert out.spectral_energy() == pytest.approx(out.temporal_energy(),
                                                       rel=1e-9)
+
+
+def weak_value_identities(pair, beta, carrier, sigma, n, span):
+    """Both sides of the two weak-value identities of a Gaussian pulse run, and their scales.
+
+    With the weight w = |T E|^2 on the pulse's omegas, and W = N/T (weight 0
+    where T is singular), in the continuum:
+    - ``propagate``'s centroid shift equals the w-weighted mean of Re W;
+    - the spectral-centroid shift equals -2 sigma^2 times that of Im W.
+    Returns ``((shift, mean Re W, time scale), (spectral shift, -2 sigma^2 mean
+    Im W, frequency scale), edge)``.  A scale bounds the terms whose rounding
+    a side carries; ``edge`` is the larger of the weight at the ends of the
+    frequency window and the output intensity at the ends of the time window,
+    each relative to its peak: what the windows cut off.
+    """
+    grid = SpectralGrid(n, carrier, span)
+    pulse = gaussian_pulse(grid, sigma)
+    out, report = propagate(DEFAULT_MODEL, beta, pair, pulse)
+    omegas = grid.omegas()
+    _, _, tre, tim, nre, nim = _grids(DEFAULT_MODEL, omegas, [beta], pair, with_delay=True)
+    t = tre[:, 0] + 1j * tim[:, 0]
+    live = np.abs(t) >= SINGULAR_TOL
+    w = np.where(live, np.abs(t * pulse.spectral) ** 2, 0.0)
+    weak = np.zeros(n, complex)
+    weak[live] = (nre[live, 0] + 1j * nim[live, 0]) / t[live]
+    mean_w = complex(np.sum(w * weak) / np.sum(w))
+    mean_abs_w = float(np.sum(w * np.abs(weak)) / np.sum(w))
+
+    nu = omegas - carrier
+
+    def centroid(weights):
+        return float(np.sum(nu * weights) / np.sum(weights))
+
+    spectral_shift = (centroid(np.abs(out.spectral) ** 2)
+                      - centroid(np.abs(pulse.spectral) ** 2))
+    inten = out.intensity
+    edge = max(max(w[0], w[-1]) / w.max(), max(inten[0], inten[-1]) / inten.max())
+    return ((report.centroid_shift, mean_w.real, mean_abs_w + 1.0 / sigma),
+            (spectral_shift, -2.0 * sigma**2 * mean_w.imag,
+             2.0 * sigma**2 * mean_abs_w + sigma),
+            float(edge))
+
+
+def residual(side):
+    """The gap between the two sides of an identity, relative to its scale."""
+    got, want, scale = side
+    return abs(got - want) / scale
+
+
+# rounding allowance, in units of the scale, and window-cut allowance per unit edge weight
+ROUNDING_ULPS = 256
+EDGE_FACTOR = 4.0
+
+seeded_pairs = st.integers(0, 2**32 - 1).map(lambda seed: random_pair(np.random.default_rng(seed)))
+# carriers at 1, where a linear pair's spectral shift vanishes by symmetry, and off it
+carriers = st.one_of(st.just(1.0), st.builds(lambda sign, d: 1.0 + sign * d,
+                                             st.sampled_from([-1.0, 1.0]),
+                                             st.floats(0.005, 0.1)))
+
+
+class TestWeakValueMovesThePulse:
+    """The time shift follows Re W and the frequency shift follows Im W (Jozsa 2007)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=seeded_pairs, beta=st.floats(0.0, PI), carrier=carriers,
+           sigma=st.floats(0.003, 0.02), bits=st.integers(8, 16),
+           window=st.floats(12.0, 48.0))
+    def test_shifts_are_weighted_means_of_the_weak_value(self, pair, beta, carrier, sigma,
+                                                         bits, window):
+        try:
+            time_side, freq_side, edge = weak_value_identities(
+                pair, beta, carrier, sigma, 1 << bits, window * sigma)
+        except PostselectionNull:
+            return
+        tol = ROUNDING_ULPS * np.finfo(float).eps + EDGE_FACTOR * edge
+        assert residual(time_side) <= tol, (time_side, edge)
+        if carrier != 1.0:
+            assert residual(freq_side) <= tol, (freq_side, edge)
+
+    def test_residual_grows_with_the_window_edge_weight(self):
+        # 64 samples, windows of 12 to 16 sigma: the cut-off tails, not the
+        # rounding, set the residual, and it falls with the edge weight
+        runs = [weak_value_identities(VV, 0.8, 0.97, 0.01, 64, k * 0.01)
+                for k in (12.0, 13.0, 14.0, 16.0)]
+        edges = [edge for _, _, edge in runs]
+        assert edges == sorted(edges, reverse=True) and edges[0] > 1e-8
+        for side in (0, 1):
+            gaps = [residual(run[side]) for run in runs]
+            assert gaps == sorted(gaps, reverse=True), gaps
+            assert gaps[0] > 1e3 * ROUNDING_ULPS * np.finfo(float).eps, gaps
+            assert all(gap <= EDGE_FACTOR * edge for gap, edge in zip(gaps, edges)), gaps

@@ -143,9 +143,7 @@ class TestLibmTables:
         pair = selection(0.3, "D45")
         columns = _beta_weights(betas, pair)
         for i, b in enumerate(betas.tolist()):
-            p1, p2 = _weights(b, pair)
-            want = (p1.real, p1.imag, p2.real, p2.imag)
-            assert all(same(col[i], w) for col, w in zip(columns, want))
+            assert all(same(col[i], w) for col, w in zip(columns, _weights(b, pair)))
         assert all(col.flags.c_contiguous for col in columns)
 
     def test_beta_weights_bitwise_equal_to_weights(self):
@@ -161,9 +159,8 @@ class TestLibmTables:
         for pair in pairs:
             columns = _beta_weights(betas, pair)
             for i, b in enumerate(betas.tolist()):
-                p1, p2 = _weights(b, pair)
-                want = (p1.real, p1.imag, p2.real, p2.imag)
-                assert all(same(col[i], w) for col, w in zip(columns, want)), (pair, b)
+                assert all(same(col[i], w) for col, w in zip(columns, _weights(b, pair))), \
+                    (pair, b)
 
     def test_beta_weights_reject_nonfinite(self):
         for bad in (math.nan, math.inf, -math.inf):

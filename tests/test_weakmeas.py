@@ -15,6 +15,7 @@ from weaklight import (
     DEFAULT_MODEL,
     BadBracket,
     LinearDispersion,
+    PolarizationOperator,
     PolarizationState,
     PostselectionNull,
     PulseField,
@@ -582,7 +583,7 @@ class TestFindSingularities:
         betas = sorted({h.beta for h in hits})
         offsets = []
         for b in betas:
-            p1, p2 = weakmeas._weights(b, pair)
+            p1, p2 = complex_weights(b, pair)
             offsets.append(cmath.phase(p1) - cmath.phase(p2))
         assert len(betas) == 2
         assert [math.copysign(1.0, o) for o in offsets] == list(signs)
@@ -610,7 +611,7 @@ class TestFindSingularities:
         pair = selection(0.0, 2.0)
         hits = find_singularities(DEFAULT_MODEL, (0.5, 3.5), (-3.0, 6.0), pair)
         raw = {cmath.phase(p1) - cmath.phase(p2)
-               for p1, p2 in (weakmeas._weights(h.beta, pair) for h in hits)}
+               for p1, p2 in (complex_weights(h.beta, pair) for h in hits)}
         assert raw == {2.0 * PI, 0.0, -2.0 * PI}
         assert calls == [0.0]
         assert len(hits) == 12
@@ -620,9 +621,15 @@ class TestFindSingularities:
         assert lines == {1: {1.0000000000000004}, 3: {3.0000000000000027}}
 
 
+def complex_weights(beta, pair):
+    """The weights (p1, p2) at beta as complex numbers."""
+    p1re, p1im, p2re, p2im = weakmeas._weights(beta, pair)
+    return complex(p1re, p1im), complex(p2re, p2im)
+
+
 def reduced_offset(beta, pair):
     """arg p1 - arg p2 at beta, reduced to (-pi, pi] as find_singularities reduces it."""
-    p1, p2 = weakmeas._weights(beta, pair)
+    p1, p2 = complex_weights(beta, pair)
     offset = math.remainder(cmath.phase(p1) - cmath.phase(p2), 2.0 * PI)
     return PI if offset == -PI else offset
 
@@ -664,10 +671,7 @@ uncrossed_pairs = st.tuples(angles, angles).filter(
 
 def scalar_gap(pair):
     """The weight gap |p1|^2 - |p2|^2 at one beta, in the arithmetic of the beta scan."""
-    def gap(b):
-        p1, p2 = weakmeas._weights(b, pair)
-        return p1.real * p1.real + p1.imag * p1.imag - (p2.real * p2.real + p2.imag * p2.imag)
-    return gap
+    return lambda b: weakmeas._gap(*weakmeas._weights(b, pair))
 
 
 def assert_node_or_sign_change(fun, x, grid):
@@ -913,8 +917,10 @@ class TestArgumentChecks:
                 lambda: phase_spectrum(DEFAULT_MODEL, 0.3, VV, [[0.5], [1.0]]),
                 _shape("omega array", (2, 1))),
         # raises of the other modules that no other test reaches
-        _raises("linear-state-not-an-angle", lambda: linear_state("x"), "must be a real angle"),
-        _raises("rotation-not-an-angle", lambda: rotation("x"), "must be a real angle"),
+        _raises("linear-state-not-an-angle", lambda: linear_state("x"),
+                re.escape("theta must be finite, got 'x'")),
+        _raises("rotation-not-an-angle", lambda: rotation("x"),
+                re.escape("beta must be finite, got 'x'")),
         _raises("hermitian-tol-0", lambda: is_hermitian(rotation(0.3), tol=0.0),
                 "tol must be positive"),
         _raises("pulse-field-short-arrays",
@@ -1012,6 +1018,37 @@ class TestArgumentChecks:
         _refused("estimate-beta-none-tau",
                  lambda: estimate_beta(DEFAULT_MODEL, 1.0, VV, None, (0.6, 0.78)),
                  "tau_measured must be finite, got None"),
+        # numpy casts a complex array to floats with only a ComplexWarning
+        _refused("contour-complex-numpy-omegas",
+                 lambda: contour_grid(DEFAULT_MODEL, np.array([1 + 1j]), [0.5], VV),
+                 "omega array must hold real numbers, got complex128 values"),
+        _refused("sweep-angle-complex-numpy-betas",
+                 lambda: sweep_angle(DEFAULT_MODEL, 1.0, np.array([0.5 + 0j]), VV),
+                 "beta must hold real numbers, got complex128 values"),
+        # a range is exactly a pair
+        _refused("singularities-three-omega-ends",
+                 lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5, 9.0), (0.0, PI), VV),
+                 re.escape("omega_range must be a pair (lo, hi), got (0.5, 1.5, 9.0)")),
+        _refused("half-wave-none-range",
+                 lambda: half_wave_frequencies(DEFAULT_MODEL, None),
+                 re.escape("omega_range must be a pair (lo, hi), got None")),
+        # a component complex() cannot convert is named, as a non-finite one is
+        _refused("state-string-a1", lambda: PolarizationState("x", 0),
+                 re.escape("a1 must be finite, got 'x'")),
+        _refused("operator-none-m11", lambda: PolarizationOperator(None, 0, 0, 1),
+                 "m11 must be finite, got None"),
+        # a phase that overflows is refused in the words of the grid path
+        *(_refused(f"{name}-overflowing-phase", call,
+                   re.escape("phase is not finite at omega 1e+308"))
+          for name, call in [
+              ("transfer", lambda: transfer(DEFAULT_MODEL, 1e308, 0.3, VV)),
+              ("group-delay", lambda: group_delay(DEFAULT_MODEL, 1e308, 0.3, VV)),
+              ("numeric-delay",
+               lambda: group_delay(DEFAULT_MODEL, 1e308, 0.3, VV, method="numeric")),
+              ("weak-flight-value", lambda: weak_flight_value(DEFAULT_MODEL, 1e308, 0.3, VV)),
+              ("evolution-operator",
+               lambda: crystal.evolution_operator(DEFAULT_MODEL, 1e308, 0.3)),
+              ("phases", lambda: phases(DEFAULT_MODEL, 1e308))]),
     ])
     def test_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -1020,7 +1057,11 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("bracket, match", [
         (("x", 0.78), "bracket[0] must be finite, got 'x'"),
         ((0.6, None), "bracket[1] must be finite, got None"),
-        ((0.6, math.nan), "bracket[1] must be finite, got nan")])
+        ((0.6, math.nan), "bracket[1] must be finite, got nan"),
+        # a bracket is exactly a pair
+        ((0.6, 0.78, "junk"), "bracket must be a pair (lo, hi), got (0.6, 0.78, 'junk')"),
+        (None, "bracket must be a pair (lo, hi), got None"),
+        ((0.6,), "bracket must be a pair (lo, hi), got (0.6,)")])
     def test_unusable_bracket_end(self, bracket, match):
         # an end float() cannot convert is a bad bracket, as a non-finite end is
         with pytest.raises(BadBracket, match=re.escape(match)):
