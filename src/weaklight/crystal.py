@@ -231,13 +231,16 @@ def _check_axis(name, values):
     of the package.  A ValueError names the input ``name``, with numpy's
     reason for values it cannot convert and the first non-finite entry.
     """
-    # numpy casts a complex array to floats with only a ComplexWarning
-    if getattr(getattr(values, "dtype", None), "kind", "") == "c":
-        raise ValueError(f"{name} must hold real numbers, got {values.dtype} values")
     try:
-        a = np.asarray(values, dtype=float, order="C")
+        a = np.asarray(values)
+        # numpy casts complex values to floats with only a ComplexWarning;
+        # strings convert from the input, so that numpy's reason quotes them as given
+        if a.dtype.kind != "c":
+            a = np.asarray(values if a.dtype.kind in "SU" else a, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must hold real numbers: {exc}") from None
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must hold real numbers, got {a.dtype} values")
     if a.ndim != 1 or a.size == 0:
         raise ValueError("sweep axes must be nonempty one-dimensional arrays, "
                          f"got {name} with shape {a.shape}")

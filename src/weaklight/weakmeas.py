@@ -73,6 +73,10 @@ _UNDERSAMPLED_FRACTION = 0.9
 _TWO_PI = 2.0 * math.pi
 _UNWRAP_LIMIT = 2.0 ** 40
 
+# elements per pass of the sweep loops in _beta_weights and _sample_table:
+# their temporaries, and the Python floats of the atan2 map, span one slice
+_SLICE = 1 << 16
+
 
 @dataclass(frozen=True)
 class SelectionPair:
@@ -188,7 +192,7 @@ def _cos_sin_table(values):
 
 
 def _beta_weights(betas, pair):
-    """``_weights`` over a beta array, as the same four parts.
+    """``_weights`` over a beta array: its four parts as the rows of one (4, n) array.
 
     Float arrays repeat CPython's complex arithmetic operation for operation,
     so each element matches ``_weights`` bitwise, signed zeros included: a
@@ -196,34 +200,24 @@ def _beta_weights(betas, pair):
     0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
     a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``.
     """
-    c, s = _cos_sin_table(_check_axis("beta", betas))
+    betas = _check_axis("beta", betas)
     f, i = pair.psi_f, pair.psi_in
-    # the rotations w1, v1 (c a + s b) and w2, v2 (c a - s b) as rows, in place
-    # where the rounding is the same, so that few arrays are alive at once
     a = np.array([f.a1, i.a1, f.a2, i.a2])[:, None]
     b = np.array([f.a2, i.a2, f.a1, i.a1])[:, None]
-    re = c * a.real
-    re -= 0.0 * a.imag
-    im = c * a.imag
-    im += 0.0 * a.real
-    del c
-    t = s * b.real
-    t -= 0.0 * b.imag
-    re[:2] += t[:2]
-    re[2:] -= t[2:]
-    np.multiply(s, b.imag, out=t)
-    t += 0.0 * b.real
-    im[:2] += t[:2]
-    im[2:] -= t[2:]
-    del s, t
-    # (p1, p2) = conj(w) v, with w on rows 0 and 2 and v on rows 1 and 3
-    wre, vre, wim, vim = re[::2], re[1::2], im[::2], im[1::2]
-    np.negative(wim, out=wim)
-    pre = wre * vre
-    pim = wre * vim
-    pre -= np.multiply(wim, vim, out=wre)
-    pim += np.multiply(wim, vre, out=wre)
-    return pre[0], pim[0], pre[1], pim[1]
+    out = np.empty((4, betas.size))
+    for start in range(0, betas.size, _SLICE):
+        part = slice(start, start + _SLICE)
+        c, s = _cos_sin_table(betas[part])
+        cre, cim = c * a.real - 0.0 * a.imag, c * a.imag + 0.0 * a.real
+        sre, sim = s * b.real - 0.0 * b.imag, s * b.imag + 0.0 * b.real
+        # the rotations w1, v1 (c a + s b) and w2, v2 (c a - s b) as rows
+        re = np.concatenate((cre[:2] + sre[:2], cre[2:] - sre[2:]))
+        im = np.concatenate((cim[:2] + sim[:2], cim[2:] - sim[2:]))
+        # (p1, p2) = conj(w) v, with w on rows 0 and 2 and v on rows 1 and 3
+        wre, vre, wim, vim = re[::2], re[1::2], -im[::2], im[1::2]
+        out[::2, part] = wre * vre - wim * vim
+        out[1::2, part] = wre * vim + wim * vre
+    return out
 
 
 def _grids(model, omegas, betas, pair, with_delay=False):
@@ -396,9 +390,6 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
 
 _COLUMNS = ("omega", "beta", "re_t", "im_t", "abs_t", "arg_t", "group_delay", "singular")
 
-# samples per libm atan2 slice: bounds the Python floats alive at once
-_ATAN2_SLICE = 1 << 16
-
 
 class SampleTable(Sequence):
     """Read-only sweep samples held as columns; items are TransferSamples.
@@ -460,18 +451,15 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
     every column matches the scalar path bitwise.  ``arg_t`` stays libm
     atan2 per element: unlike its cos and sin, numpy's arctan2 is its own
     and differs from ``math.atan2`` in the last ulp (on 154,749 of 2,000,000
-    uniform points of the unit box with numpy 2.4.6); it is mapped slice by
-    slice into a preallocated array, so only one slice of Python floats is
-    alive at a time.
+    uniform points of the unit box with numpy 2.4.6).
     """
-    abs_t, singular, gd = _delays(tre, tim, nre, nim)
     n = tre.shape[0]
-    arg_t = np.empty(n)
-    for start in range(0, n, _ATAN2_SLICE):
-        stop = min(start + _ATAN2_SLICE, n)
-        arg_t[start:stop] = np.fromiter(
-            map(math.atan2, tim[start:stop].tolist(), tre[start:stop].tolist()),
-            float, stop - start)
+    abs_t, arg_t, gd = np.empty(n), np.empty(n), np.empty(n)
+    singular = np.empty(n, dtype=bool)
+    for start in range(0, n, _SLICE):
+        part = slice(start, start + _SLICE)
+        abs_t[part], singular[part], gd[part] = _delays(tre[part], tim[part], nre[part], nim[part])
+        arg_t[part] = np.fromiter(map(math.atan2, tim[part].tolist(), tre[part].tolist()), float)
     return SampleTable(shape, {
         "omega": omega, "beta": beta, "re_t": tre, "im_t": tim, "abs_t": abs_t,
         "arg_t": arg_t, "group_delay": gd, "singular": singular})

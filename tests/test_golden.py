@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklight import cli
+from weaklight import cli, weakmeas
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -149,6 +149,14 @@ def test_golden_bytes(name, tmp_path, monkeypatch):
 def test_golden_bytes_across_batches(rows, tmp_path, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.setattr(cli, "_BATCH_ROWS", rows)
+    for name in sorted(CASES):
+        assert run_case(name, tmp_path) == golden_file(name).read_bytes(), mismatch(name)
+
+
+def test_golden_bytes_across_slices(tmp_path, monkeypatch):
+    # slices of 5 split every beta axis and every sample table of the corpus
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setattr(weakmeas, "_SLICE", 5)
     for name in sorted(CASES):
         assert run_case(name, tmp_path) == golden_file(name).read_bytes(), mismatch(name)
 

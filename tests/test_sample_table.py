@@ -1,6 +1,7 @@
 """Column-backed sweep results: the SampleTable returned by contour_grid and sweep_angle."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from weaklight import (
     sweep_angle,
     transfer,
 )
+from weaklight import weakmeas
 from weaklight.fourier import _tables
 from weaklight.weakmeas import SampleTable, _beta_weights, _cos_sin_table, _weights
 
@@ -146,7 +148,7 @@ class TestLibmTables:
             assert all(same(col[i], w) for col, w in zip(columns, _weights(b, pair)))
         assert all(col.flags.c_contiguous for col in columns)
 
-    def test_beta_weights_bitwise_equal_to_weights(self):
+    def test_beta_weights_bitwise_equal_to_weights(self, monkeypatch):
         # every basis and linear pair, elliptical pairs, and betas where the
         # products hit signed zeros (0, -0, multiples of pi/2)
         rng = np.random.default_rng(8)
@@ -157,10 +159,26 @@ class TestLibmTables:
                                  1e-300, -5e-324, 1e300],
                                 np.linspace(-7.0, 7.0, 401), rng.normal(size=400) * 10])
         for pair in pairs:
-            columns = _beta_weights(betas, pair)
-            for i, b in enumerate(betas.tolist()):
-                assert all(same(col[i], w) for col, w in zip(columns, _weights(b, pair))), \
-                    (pair, b)
+            want = [_weights(b, pair) for b in betas.tolist()]
+            # slices of 5 split the betas, and their signed zeros, across many passes
+            for size in (weakmeas._SLICE, 5):
+                monkeypatch.setattr(weakmeas, "_SLICE", size)
+                columns = _beta_weights(betas, pair)
+                for i, w in enumerate(want):
+                    assert all(same(col[i], x) for col, x in zip(columns, w)), \
+                        (pair, size, betas[i])
+
+    def test_beta_weights_peak_memory(self):
+        # the result is 32 MB; whole-axis temporaries took the peak to 104 MB
+        betas = np.linspace(0.0, 1.0, 1_000_001)
+        tracemalloc.start()
+        try:
+            weights = _beta_weights(betas, selection(0.3, "D45"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights.shape == (4, betas.size)
+        assert peak <= 64e6
 
     def test_beta_weights_reject_nonfinite(self):
         for bad in (math.nan, math.inf, -math.inf):

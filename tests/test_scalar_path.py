@@ -373,3 +373,13 @@ class TestEstimateBetaMatchesScalarScan:
         assert abs(beta - 0.6) <= 1e-8
         assert_delay_sign_change(DEFAULT_MODEL, 1.0, pair, tau, beta)
         assert_same_outcome(DEFAULT_MODEL, 1.0, pair, tau, (0.3, 1.2))
+
+    def test_equal_phases_make_the_closed_form_linear(self):
+        # at omega 0 on DEFAULT_MODEL phi_te = phi_tm = 0, so u = 0 and the
+        # quadratic in p1 has no square term
+        tau = group_delay(DEFAULT_MODEL, 0.0, 0.7, VV)
+        assert weakmeas._closed_form_seed(VV, phases(DEFAULT_MODEL, 0.0),
+                                          group_delays(DEFAULT_MODEL, 0.0),
+                                          tau, 0.1, 1.4) is not None
+        beta = estimate_beta(DEFAULT_MODEL, 0.0, VV, tau, (0.1, 1.4))
+        assert_delay_sign_change(DEFAULT_MODEL, 0.0, VV, tau, beta)

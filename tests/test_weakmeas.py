@@ -1025,6 +1025,16 @@ class TestArgumentChecks:
         _refused("sweep-angle-complex-numpy-betas",
                  lambda: sweep_angle(DEFAULT_MODEL, 1.0, np.array([0.5 + 0j]), VV),
                  "beta must hold real numbers, got complex128 values"),
+        # a list's numpy complex scalars are found in the dtype numpy converts it to
+        _refused("contour-complex-scalar-omegas",
+                 lambda: contour_grid(DEFAULT_MODEL, [np.complex128(1 + 1j)], [0.5], VV),
+                 "omega array must hold real numbers, got complex128 values"),
+        _refused("sweep-angle-complex-scalar-betas",
+                 lambda: sweep_angle(DEFAULT_MODEL, 1.0, [np.complex128(0.5 + 0j)], VV),
+                 "beta must hold real numbers, got complex128 values"),
+        _refused("unwrap-complex-scalars",
+                 lambda: unwrap([np.complex128(1 + 1j), 2.0]),
+                 "phases must hold real numbers, got complex128 values"),
         # a range is exactly a pair
         _refused("singularities-three-omega-ends",
                  lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5, 9.0), (0.0, PI), VV),
