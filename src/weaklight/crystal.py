@@ -229,7 +229,8 @@ def _check_axis(name, values):
 
     The one check of these properties on every sweep axis and sampled array
     of the package.  A ValueError names the input ``name``, with numpy's
-    reason for values it cannot convert and the first non-finite entry.
+    reason for values it cannot convert, the dtype of complex values and
+    the first non-finite entry.
     """
     try:
         a = np.asarray(values)

@@ -457,9 +457,10 @@ def _sample_table(shape, omega, beta, tre, tim, nre, nim):
     abs_t, arg_t, gd = np.empty(n), np.empty(n), np.empty(n)
     singular = np.empty(n, dtype=bool)
     for start in range(0, n, _SLICE):
-        part = slice(start, start + _SLICE)
+        part = slice(start, min(start + _SLICE, n))
         abs_t[part], singular[part], gd[part] = _delays(tre[part], tim[part], nre[part], nim[part])
-        arg_t[part] = np.fromiter(map(math.atan2, tim[part].tolist(), tre[part].tolist()), float)
+        arg_t[part] = np.fromiter(map(math.atan2, tim[part].tolist(), tre[part].tolist()),
+                                  float, part.stop - start)
     return SampleTable(shape, {
         "omega": omega, "beta": beta, "re_t": tre, "im_t": tim, "abs_t": abs_t,
         "arg_t": arg_t, "group_delay": gd, "singular": singular})
