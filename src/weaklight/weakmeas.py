@@ -75,7 +75,7 @@ _UNWRAP_LIMIT = 2.0 ** 40
 
 # elements per pass of the sweep loops in _beta_weights and _sample_table:
 # their temporaries, and the Python floats of the atan2 map, span one slice
-_SLICE = 1 << 16
+_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
