@@ -229,25 +229,31 @@ def _check_axis(name, values):
 
     The one check of these properties on every sweep axis and sampled array
     of the package.  A ValueError names the input ``name``, with numpy's
-    reason for values it cannot convert, the dtype of complex values and
-    the first non-finite entry.
+    reason for values it cannot convert, the dtype of complex, datetime and
+    timedelta values, a None entry and the first non-finite entry.
+    Booleans convert to 0.0 and 1.0, as ``errors._finite`` takes them.
     """
     try:
-        a = np.asarray(values)
-        # numpy casts complex values to floats with only a ComplexWarning;
-        # strings convert from the input, so that numpy's reason quotes them as given
-        if a.dtype.kind != "c":
-            a = np.asarray(values if a.dtype.kind in "SU" else a, dtype=float, order="C")
+        raw = np.asarray(values)
+        # numpy casts complex values to floats with only a ComplexWarning and
+        # datetimes to counts of their unit; strings convert from the input,
+        # so that numpy's reason quotes them as given
+        if raw.dtype.kind not in "cmM":
+            a = np.asarray(values if raw.dtype.kind in "SU" else raw, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must hold real numbers: {exc}") from None
-    if a.dtype.kind == "c":
-        raise ValueError(f"{name} must hold real numbers, got {a.dtype} values")
+    if raw.dtype.kind in "cmM":
+        raise ValueError(f"{name} must hold real numbers, got {raw.dtype} values")
     if a.ndim != 1 or a.size == 0:
         raise ValueError("sweep axes must be nonempty one-dimensional arrays, "
                          f"got {name} with shape {a.shape}")
     finite = np.isfinite(a)
     if not finite.all():
-        raise ValueError(f"{name} must be finite, got {float(a[~finite][0])!r}")
+        first = int(np.argmin(finite))
+        # numpy converts a None entry to NaN
+        if raw.dtype.kind == "O" and raw[first] is None:
+            raise ValueError(f"{name} must hold real numbers, got None")
+        raise ValueError(f"{name} must be finite, got {float(a[first])!r}")
     return a
 
 
@@ -397,6 +403,29 @@ def _half_wave_roots(model, omegas, phase_te, phase_tm, offset):
     return _scan_roots(fun, omegas, values, atol)
 
 
+def _linspace(lo, hi, n):
+    """``np.linspace(lo, hi, n)`` for float ends and an int n >= 2, with the same bits.
+
+    These are the array operations numpy's ``linspace`` makes its values
+    with, in its order, without the argument handling that takes most of a
+    short call: the nodes 0, 1, ..., n - 1 times the step (hi - lo) / (n - 1)
+    plus lo, and hi as the last node.  A step that underflows to zero takes
+    numpy's other path: the nodes divided by n - 1, then times hi - lo.  The
+    array operations warn as numpy's do; hi - lo is a Python float, which
+    overflows to inf without the warning numpy gives.
+    """
+    step = (hi - lo) / (n - 1)
+    y = np.arange(n, dtype=float)
+    if step == 0.0:
+        y /= n - 1
+        y *= hi - lo
+    else:
+        y *= step
+    y += lo
+    y[-1] = hi
+    return y
+
+
 def _scan(name, interval, n):
     """``np.linspace`` of a range with finite, increasing ends and width, at an integer n >= 2."""
     lo, hi = _ends(name, interval)
@@ -406,7 +435,7 @@ def _scan(name, interval, n):
     with suppress(TypeError):
         count = operator.index(n)
         if count >= 2:
-            return np.linspace(lo, hi, count)
+            return _linspace(lo, hi, count)
     raise ValueError(f"scan density must be at least 2 and an integer, got {n!r}")
 
 

@@ -15,6 +15,7 @@ makes two-dimensional unwrapping ill-defined.
 """
 
 import math
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,7 +27,9 @@ from .crystal import (
     _ROUNDING,
     _bisect_root,
     _check_axis,
+    _check_omega,
     _half_wave_roots,
+    _linspace,
     _refine_root,
     _scan,
     _scan_roots,
@@ -76,6 +79,13 @@ _UNWRAP_LIMIT = 2.0 ** 40
 # elements per pass of the sweep loops in _beta_weights and _sample_table:
 # their temporaries, and the Python floats of the atan2 map, span one slice
 _SLICE = 1 << 14
+
+# entries of the two caches (_cached): the constants of a selection pair
+# (_pair_constants), and the terms of a model at one omega (_omega_record)
+_PAIRS_CACHED = 32
+_RECORDS_CACHED = 64
+_pair_cache = {}
+_omega_cache = {}
 
 
 @dataclass(frozen=True)
@@ -191,6 +201,65 @@ def _cos_sin_table(values):
     return np.cos(values), np.sin(values)
 
 
+def _cached(cache, bound, owner, key, make, *args):
+    """``make(*args)``, kept in ``cache`` under ``key`` while ``owner`` lives.
+
+    The key holds ``id(owner)``, not the owner: a model or pair that compares
+    equal to another can differ from it in a signed zero.  An entry holds a
+    weak reference to its owner, so it keeps no model alive, and an entry
+    whose owner has died, and whose id another object may have taken, is
+    made again.  A full cache is emptied, which bounds it without an order
+    to keep.  A call that raises stores nothing.
+    """
+    entry = cache.get(key)
+    if entry is None or entry[0]() is not owner:
+        entry = (weakref.ref(owner), make(*args))
+        if len(cache) >= bound:
+            cache.clear()
+        cache[key] = entry
+    return entry[1]
+
+
+def _pair_constants(pair):
+    """What ``_beta_weights`` and ``_closed_form_seed`` take from the pair alone.
+
+    ``_beta_weights``' constant rows are the state parts and CPython's
+    signed-zero terms.  Both have shape (2, 8, 1): cos(beta) or sin(beta)
+    as the factor, then eight rows, the real and imaginary part of w and of
+    v in the add rotation (w1, v1) and in the subtract one (w2, v2).
+    cos(beta) multiplies psi_f.a1 and psi_in.a1 in the add rotation and
+    their a2 in the subtract one, sin(beta) the other components.  A float
+    times a complex a adds 0.0*a.real to the imaginary part and subtracts
+    0.0*a.imag from the real part; x - z is x + (-z) in IEEE arithmetic, so
+    ``zeros`` holds -(0.0*a.imag) on the real rows and one addition applies
+    every term.
+
+    The seed's terms are c, k1 and k2 of ``_closed_form_seed``, the radius
+    hypot(k1, k2) and the angle atan2(k2, k1), or None where the weights are
+    complex or the radius is zero.
+    """
+    f, i = pair.psi_f, pair.psi_in
+    # the parts in (factor, rotation, w or v, re or im) order, then each
+    # part's term: 0.0 times the other part, negated on the real parts
+    parts = np.array([f.a1, i.a1, f.a2, i.a2, f.a2, i.a2, f.a1, i.a1]).view(float)
+    zeros = 0.0 * parts.reshape(8, 2)[:, ::-1] * [-1.0, 1.0]
+    parts, zeros = parts.reshape(2, 8, 1), zeros.reshape(2, 8, 1)
+    f1, f2 = f.a1.conjugate(), f.a2.conjugate()
+    terms = (f1 * i.a1 + f2 * i.a2, f1 * i.a1 - f2 * i.a2, f1 * i.a2 + f2 * i.a1)
+    seed = None
+    if all(z.imag == 0.0 for z in terms):
+        c, k1, k2 = (z.real for z in terms)
+        radius = math.hypot(k1, k2)
+        if radius != 0.0:
+            seed = c, k1, k2, radius, math.atan2(k2, k1)
+    return parts, zeros, seed
+
+
+def _pair(pair):
+    """``_pair_constants(pair)``, from a cache keyed by the pair's identity."""
+    return _cached(_pair_cache, _PAIRS_CACHED, pair, id(pair), _pair_constants, pair)
+
+
 def _beta_weights(betas, pair):
     """``_weights`` over a beta array: its four parts as the rows of one (4, n) array.
 
@@ -198,25 +267,30 @@ def _beta_weights(betas, pair):
     so each element matches ``_weights`` bitwise, signed zeros included: a
     float c times a complex a is (c*a.real - 0.0*a.imag, c*a.imag +
     0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
-    a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``.
+    a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``;
+    the pair's constant rows come from ``_pair``.
     """
     betas = _check_axis("beta", betas)
-    f, i = pair.psi_f, pair.psi_in
-    a = np.array([f.a1, i.a1, f.a2, i.a2])[:, None]
-    b = np.array([f.a2, i.a2, f.a1, i.a1])[:, None]
+    parts, zeros, _ = _pair(pair)
     out = np.empty((4, betas.size))
     for start in range(0, betas.size, _SLICE):
         part = slice(start, start + _SLICE)
-        c, s = _cos_sin_table(betas[part])
-        cre, cim = c * a.real - 0.0 * a.imag, c * a.imag + 0.0 * a.real
-        sre, sim = s * b.real - 0.0 * b.imag, s * b.imag + 0.0 * b.real
-        # the rotations w1, v1 (c a + s b) and w2, v2 (c a - s b) as rows
-        re = np.concatenate((cre[:2] + sre[:2], cre[2:] - sre[2:]))
-        im = np.concatenate((cim[:2] + sim[:2], cim[2:] - sim[2:]))
-        # (p1, p2) = conj(w) v, with w on rows 0 and 2 and v on rows 1 and 3
-        wre, vre, wim, vim = re[::2], re[1::2], -im[::2], im[1::2]
-        out[::2, part] = wre * vre - wim * vim
-        out[1::2, part] = wre * vim + wim * vre
+        # c a and s b for every state part, as (factor, row, beta)
+        terms = np.array(_cos_sin_table(betas[part]))[:, None] * parts
+        terms += zeros
+        # the rotations w1, v1 = c a + s b and w2, v2 = c a - s b
+        add, sub = terms[0, :4], terms[0, 4:]
+        add += terms[1, :4]
+        sub -= terms[1, 4:]
+        # (p1, p2) = conj(w) v, with w and v as (rotation, re or im, beta)
+        rot = terms[0].reshape(2, 2, 2, -1)
+        w, v = rot[:, 0], rot[:, 1]
+        w_im = w[:, 1]
+        np.negative(w_im, out=w_im)
+        prod = w * v
+        np.subtract(prod[:, 0], prod[:, 1], out=out[::2, part])
+        prod = w * v[:, ::-1]
+        np.add(prod[:, 0], prod[:, 1], out=out[1::2, part])
     return out
 
 
@@ -335,23 +409,45 @@ def phase_spectrum(model, beta, pair, omegas):
     return PhaseSpectrum(w, phase, singular, undersampled)
 
 
-def _t_and_numerator(model, omega, beta, pair):
-    """(re, im) of T and of the weak-value numerator N at one point."""
+def _omega_record(model, omega):
+    """The bases of T and of N at one omega: cos and sin of both phases, then times the delays."""
     phi_te, phi_tm = phases(model, omega)
     tau_te, tau_tm = group_delays(model, omega)
-    weights = _weights(beta, pair)
     cte, ste = math.cos(phi_te), math.sin(phi_te)
     ctm, stm = math.cos(phi_tm), math.sin(phi_tm)
-    return (_bilinear(cte, ste, ctm, stm, *weights),
-            _bilinear(tau_te * cte, tau_te * ste, tau_tm * ctm, tau_tm * stm, *weights))
+    return (cte, ste, ctm, stm), (tau_te * cte, tau_te * ste, tau_tm * ctm, tau_tm * stm)
+
+
+def _t_and_numerator(model, omega, beta, pair):
+    """(re, im) of T and of the weak-value numerator N at one point.
+
+    ``_omega_record`` comes from a cache keyed by the model's identity and
+    the exact bits of the checked omega (0.0 == -0.0, and their phases can
+    differ in sign), so the evaluations of one root search take the model
+    once.  The omega check runs on every call.
+    """
+    omega = _check_omega(model, omega)
+    bases, delayed = _cached(_omega_cache, _RECORDS_CACHED, model,
+                             (id(model), omega, math.copysign(1.0, omega)),
+                             _omega_record, model, omega)
+    weights = _weights(beta, pair)
+    return _bilinear(*bases, *weights), _bilinear(*delayed, *weights)
 
 
 def _null_check(tre, tim, omega, beta):
-    abs_t = math.sqrt(tre * tre + tim * tim)
+    """|T|^2, after refusing a null postselection: |T| below ``SINGULAR_TOL``."""
+    den = tre * tre + tim * tim
+    abs_t = math.sqrt(den)
     if abs_t < SINGULAR_TOL:
         raise PostselectionNull(
             f"|T| = {abs_t:.3e} below singular tolerance {SINGULAR_TOL:g} "
             f"at omega={omega!r}, beta={beta!r}")
+    return den
+
+
+def _delay(tre, tim, nre, nim, den):
+    """Re(N / T) = Re(N T*) / |T|^2, the group delay, on Python floats or arrays alike."""
+    return (nre * tre + nim * tim) / den
 
 
 def weak_flight_value(model, omega, beta, pair):
@@ -361,9 +457,8 @@ def weak_flight_value(model, omega, beta, pair):
     part is the log-magnitude slope d(ln |T|)/d(omega).
     """
     (tre, tim), (nre, nim) = _t_and_numerator(model, omega, beta, pair)
-    _null_check(tre, tim, omega, beta)
-    den = tre * tre + tim * tim
-    return complex((nre * tre + nim * tim) / den, (nim * tre - nre * tim) / den)
+    den = _null_check(tre, tim, omega, beta)
+    return complex(_delay(tre, tim, nre, nim, den), (nim * tre - nre * tim) / den)
 
 
 def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
@@ -375,7 +470,8 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
     extracted from measured phase spectra.
     """
     if method == "analytic":
-        return weak_flight_value(model, omega, beta, pair).real
+        (tre, tim), (nre, nim) = _t_and_numerator(model, omega, beta, pair)
+        return _delay(tre, tim, nre, nim, _null_check(tre, tim, omega, beta))
     if method == "numeric":
         h = _positive("step h", h)
         stencil = np.empty(3)
@@ -439,7 +535,7 @@ def _delays(tre, tim, nre, nim):
     abs_t = np.sqrt(den)
     singular = abs_t < SINGULAR_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        gd = (nre * tre + nim * tim) / den
+        gd = _delay(tre, tim, nre, nim, den)
     gd[singular] = math.nan
     return abs_t, singular, gd
 
@@ -552,17 +648,12 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
     As 2 p1 = c + k1 cos 2beta + k2 sin 2beta, each root gives beta modulo pi
     through one acos.  None when the weights are complex (elliptical states),
     when the bracket is pi or wider, or when not exactly one of these betas
-    lies in [lo, hi].
+    lies in [lo, hi].  The pair's terms come from ``_pair``.
     """
-    f1, f2 = pair.psi_f.a1.conjugate(), pair.psi_f.a2.conjugate()
-    a1, a2 = pair.psi_in.a1, pair.psi_in.a2
-    terms = (f1 * a1 + f2 * a2, f1 * a1 - f2 * a2, f1 * a2 + f2 * a1)
-    if any(z.imag != 0.0 for z in terms) or hi - lo >= math.pi:
+    terms = _pair(pair)[2]
+    if terms is None or hi - lo >= math.pi:
         return None
-    c, k1, k2 = (z.real for z in terms)
-    radius = math.hypot(k1, k2)
-    if radius == 0.0:
-        return None
+    c, k1, k2, radius, theta = terms
     tau_te, tau_tm = tau
     # u as 2 sin^2(d/2), which keeps its digits where cos d is near 1
     u = 2.0 * math.sin(0.5 * (phi[0] - phi[1])) ** 2
@@ -577,7 +668,6 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
             return None
         q = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
         roots = [q / q2] + ([q0 / q] if q != 0.0 else [])
-    theta = math.atan2(k2, k1)
     seeds = []
     for p1 in roots:
         v = (2.0 * p1 - c) / radius
@@ -636,22 +726,29 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     if not lo < hi:
         raise BadBracket(f"bracket ({lo!r}, {hi!r}) is not an increasing interval")
 
-    # One array scan gives the same delays as 64 group_delay calls.  The
-    # checks those calls make first run here in their order, so a bad omega
-    # or the NaN betas of an overflowing bracket raise as a per-point scan would.
-    phi = phases(model, omega)
-    tau = group_delays(model, omega)
+    # One array scan at the one omega gives the same delays as 64
+    # group_delay calls.  The checks those calls make first run here in their
+    # order: the scalar omega check, the phases' (in phase_arrays), then the
+    # betas' (in _beta_weights), so a bad omega or the NaN betas of an
+    # overflowing bracket raise as a per-point scan would.
+    w = np.array([_check_omega(model, omega)])
+    phi = np.concatenate(phase_arrays(model, w))
+    tau = np.concatenate(delay_arrays(model, w))
+    cos_sin = np.array(_cos_sin_table(phi))
+    # one omega table, as (T or N, cos or sin, TE or TM): row 0 holds T's
+    # bases and row 1 N's, the delays times T's
+    table = np.array((cos_sin, tau * cos_sin))
+    are, aim, bre, bim = table[:, 0, 0], table[:, 1, 0], table[:, 0, 1], table[:, 1, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        betas = np.linspace(lo, hi, 64)
-    _, grid, tre, tim, nre, nim = _grids(model, [omega], betas, pair, with_delay=True)
-    _, singular, scanned = _delays(tre[0], tim[0], nre[0], nim[0])
+        betas = _linspace(lo, hi, 64)
+    tre, tim = backends.bilinear_grid(are, aim, bre, bim, *_beta_weights(betas, pair))
+    _, singular, scanned = _delays(tre[0], tim[0], tre[1], tim[1])
     if singular.any():
         i = int(np.argmax(singular))
-        raise BadBracket(f"bracket contains a postselection null near beta={float(grid[i])!r}")
-    diffs = np.diff(scanned)
-    increasing = bool(np.all(diffs > 0.0))
-    decreasing = bool(np.all(diffs < 0.0))
-    if not (increasing or decreasing):
+        raise BadBracket(f"bracket contains a postselection null near beta={float(betas[i])!r}")
+    diffs = scanned[1:] - scanned[:-1]
+    # a NaN delay makes min and max NaN, and fails the test as all(diffs > 0) would
+    if not (diffs.min() > 0.0 or diffs.max() < 0.0):
         raise BadBracket(
             "group delay is not monotonic on the bracket "
             f"[{lo!r}, {hi!r}]; 64-point scan spans "
@@ -674,7 +771,7 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     def fun(b):
         return group_delay(model, omega, b, pair) - tau_measured
 
-    seed = _closed_form_seed(pair, phi, tau, tau_measured, lo, hi)
+    seed = _closed_form_seed(pair, phi.tolist(), tau.tolist(), tau_measured, lo, hi)
     if seed is None:
         return _refine_root(fun, lo, hi, f_lo, f_hi)
     return _polish(fun, seed, lo, hi, f_lo, f_hi)

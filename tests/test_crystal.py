@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import max_entry_diff, op_matrix
 from weaklight import (
@@ -21,7 +23,14 @@ from weaklight import (
     load_tabulated,
     phases,
 )
-from weaklight.crystal import _bisect_root, _refine_root, delay_arrays, domain, phase_arrays
+from weaklight.crystal import (
+    _bisect_root,
+    _linspace,
+    _refine_root,
+    delay_arrays,
+    domain,
+    phase_arrays,
+)
 
 PI = math.pi
 
@@ -143,6 +152,31 @@ class TestGroupDelays:
                 te, tm = group_delays(model, omega)
                 assert abs(te - fd_te) < 1e-6
                 assert abs(tm - fd_tm) < 1e-6
+
+
+class TestLinspace:
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           hi=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 300))
+    def test_bitwise_equal_to_numpy(self, lo, hi, n):
+        assume(lo < hi)
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, n)
+            got = _linspace(lo, hi, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        # steps that underflow to zero take numpy's other path
+        (0.0, 5e-324, 64), (-5e-324, 5e-324, 3), (0.0, 1e-320, 101),
+        # a width that overflows, and the widest finite ranges
+        (-1e308, 1e308, 64), (0.0, 1.7976931348623157e308, 64),
+        (-1.7976931348623157e308, 1.7976931348623157e308, 2),
+        (0.1, 0.7, 64), (-3.0, 2.0, 101)])
+    def test_edge_ranges(self, lo, hi, n):
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, n)
+            got = _linspace(lo, hi, n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestHalfWaveFrequencies:

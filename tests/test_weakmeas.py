@@ -1,8 +1,10 @@
 import cmath
+import gc
 import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1035,6 +1037,21 @@ class TestArgumentChecks:
         _refused("unwrap-complex-scalars",
                  lambda: unwrap([np.complex128(1 + 1j), 2.0]),
                  "phases must hold real numbers, got complex128 values"),
+        # numpy converts None to NaN, datetimes and timedeltas to counts of their unit
+        _refused("contour-none-omega",
+                 lambda: contour_grid(DEFAULT_MODEL, [None, 1.0], [0.5], VV),
+                 "omega array must hold real numbers, got None"),
+        _refused("check-axis-datetime-scalars",
+                 lambda: crystal._check_axis("beta", [np.datetime64("2020-01-01")]),
+                 re.escape("beta must hold real numbers, got datetime64[D] values")),
+        _refused("sweep-angle-datetime-betas",
+                 lambda: sweep_angle(DEFAULT_MODEL, 1.0,
+                                     np.array(["2020-01-01"], dtype="datetime64[D]"), VV),
+                 re.escape("beta must hold real numbers, got datetime64[D] values")),
+        _refused("transfer-grid-timedelta-omegas",
+                 lambda: transfer_grid(DEFAULT_MODEL, np.array([1, 2], dtype="timedelta64[s]"),
+                                       [0.5], VV),
+                 re.escape("omega array must hold real numbers, got timedelta64[s] values")),
         # a range is exactly a pair
         _refused("singularities-three-omega-ends",
                  lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5, 9.0), (0.0, PI), VV),
@@ -1080,3 +1097,100 @@ class TestArgumentChecks:
     def test_selection_pair_needs_states(self):
         with pytest.raises(TypeError, match="PolarizationState"):
             SelectionPair("V", "V")
+
+    def test_booleans_are_numbers(self):
+        # as errors._finite takes them
+        assert crystal._check_axis("beta", [True, False]).tolist() == [1.0, 0.0]
+
+
+def hexes(values):
+    """The float.hex of every number in nested tuples and arrays: equal when the bits are."""
+    if isinstance(values, (tuple, list)):
+        return tuple(hexes(v) for v in values)
+    if isinstance(values, np.ndarray):
+        return tuple(float(v).hex() for v in values.ravel())
+    if isinstance(values, complex):
+        return values.real.hex(), values.imag.hex()
+    return None if values is None else float(values).hex()
+
+
+class TestCaches:
+    """The per-pair and per-(model, omega) caches of the search path.
+
+    Models, pairs and omegas that compare equal can differ in a signed zero,
+    so the caches key on identity and exact bits; every cached evaluation
+    must equal one made with the caches empty, bit for bit.
+    """
+
+    def test_equal_models_and_omegas_keep_their_own_records(self):
+        # phases (0.0, 0.0), but (-0.0, -0.0) on the second model at omega -0.0
+        models = (LinearDispersion(), LinearDispersion(phi0_te=-0.0, phi0_tm=-0.0))
+        assert models[0] == models[1] and hash(models[0]) == hash(models[1])
+        # at beta -0.0 this pair carries the sign of the phases into Im T and Im N
+        pair = SelectionPair(PolarizationState(0.6, 0.8),
+                             PolarizationState(-0.6, complex(-0.8, -0.0)))
+        points = [(model, omega) for model in models for omega in (0.0, -0.0)]
+
+        def evaluate(model, omega):
+            return hexes((weakmeas._t_and_numerator(model, omega, -0.0, pair),
+                          group_delay(model, omega, -0.0, pair),
+                          weak_flight_value(model, omega, -0.0, pair)))
+
+        want = []
+        for point in points:
+            weakmeas._omega_cache.clear()
+            want.append(evaluate(*point))
+        # the records differ, so a shared entry would show
+        assert want[0] != want[3]
+        for order in (range(4), range(3, -1, -1)):
+            weakmeas._omega_cache.clear()
+            for i in [*order, *order]:
+                assert evaluate(*points[i]) == want[i], (i, list(order))
+
+    def test_equal_pairs_keep_their_own_rows(self):
+        pairs = [SelectionPair(PolarizationState(1, a2), PolarizationState(1, a2))
+                 for a2 in (0, complex(-0.0, 0.0))]
+        assert pairs[0] == pairs[1] and hash(pairs[0]) == hash(pairs[1])
+        betas = np.array([0.0, -0.0, 0.3, PI / 2, -PI, 2.0])
+        tau = closed_form_delay(0.2 * PI)
+
+        def evaluate(pair):
+            return hexes((weakmeas._pair(pair), weakmeas._beta_weights(betas, pair),
+                          estimate_beta(DEFAULT_MODEL, 1.0, pair, tau, (0.15 * PI, 0.24 * PI))))
+
+        want = []
+        for pair in pairs:
+            weakmeas._pair_cache.clear()
+            want.append(evaluate(pair))
+        # the constant rows differ in the sign of zeros, so a shared entry would show
+        assert want[0][0] != want[1][0]
+        weakmeas._pair_cache.clear()
+        for i in (0, 1, 0, 1, 1, 0, 0):
+            assert evaluate(pairs[i]) == want[i], i
+
+    def test_caches_are_bounded(self):
+        for k in range(3 * weakmeas._RECORDS_CACHED):
+            group_delay(DEFAULT_MODEL, 0.5 + 1e-3 * k, 0.3, VV)
+            assert len(weakmeas._omega_cache) <= weakmeas._RECORDS_CACHED
+        for k in range(3 * weakmeas._PAIRS_CACHED):
+            weakmeas._beta_weights([0.3], selection(0.01 * k, "V"))
+            assert len(weakmeas._pair_cache) <= weakmeas._PAIRS_CACHED
+
+    def test_caches_keep_nothing_alive_and_miss_a_reused_id(self):
+        model, pair = LinearDispersion(tau_te=7.0), selection(0.3, "D45")
+        refs = weakref.ref(model), weakref.ref(pair)
+        group_delay(model, 1.0, 0.3, pair)
+        weakmeas._beta_weights([0.3], pair)
+        del model, pair
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        # a freed temporary's id is often the next one's: each must get its own entries
+        pair = selection(0.3, "D45")
+        want = []
+        for k in range(20):
+            weakmeas._omega_cache.clear()
+            want.append(group_delay(LinearDispersion(tau_te=5.0 + k), 1.0, 0.3, pair))
+        for k in range(20):
+            assert hexes(weakmeas._beta_weights([0.3], selection(0.1 * k, "V"))[:, 0]) \
+                == hexes(weakmeas._weights(0.3, selection(0.1 * k, "V")))
+            assert group_delay(LinearDispersion(tau_te=5.0 + k), 1.0, 0.3, pair) == want[k]
