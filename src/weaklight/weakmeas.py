@@ -208,12 +208,17 @@ def _cached(cache, bound, owner, key, make, *args):
     equal to another can differ from it in a signed zero.  An entry holds a
     weak reference to its owner, so it keeps no model alive, and an entry
     whose owner has died, and whose id another object may have taken, is
-    made again.  A full cache is emptied, which bounds it without an order
-    to keep.  A call that raises stores nothing.
+    made again.  An owner that takes no weak reference, such as a pair held
+    in a namedtuple, is not cached.  A full cache is emptied, which bounds
+    it without an order to keep.  A call that raises stores nothing.
     """
     entry = cache.get(key)
     if entry is None or entry[0]() is not owner:
-        entry = (weakref.ref(owner), make(*args))
+        try:
+            ref = weakref.ref(owner)
+        except TypeError:
+            return make(*args)
+        entry = (ref, make(*args))
         if len(cache) >= bound:
             cache.clear()
         cache[key] = entry

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -1175,6 +1176,15 @@ class TestCaches:
         for k in range(3 * weakmeas._PAIRS_CACHED):
             weakmeas._beta_weights([0.3], selection(0.01 * k, "V"))
             assert len(weakmeas._pair_cache) <= weakmeas._PAIRS_CACHED
+
+    def test_objects_without_weak_references_are_evaluated_uncached(self):
+        # any object with psi_in and psi_f serves as a pair
+        pair = namedtuple("Pair", "psi_in psi_f")(VV.psi_in, VV.psi_f)
+        for _ in range(2):
+            assert estimate_beta(DEFAULT_MODEL, 1.0, pair, 54.86, (0.6, 0.78)) \
+                == estimate_beta(DEFAULT_MODEL, 1.0, VV, 54.86, (0.6, 0.78))
+            assert group_delay(DEFAULT_MODEL, 1.0, 0.7, pair) \
+                == group_delay(DEFAULT_MODEL, 1.0, 0.7, VV)
 
     def test_caches_keep_nothing_alive_and_miss_a_reused_id(self):
         model, pair = LinearDispersion(tau_te=7.0), selection(0.3, "D45")
