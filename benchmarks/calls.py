@@ -14,8 +14,10 @@ both branches of the V/V delay at omega = 1, and zero searches on the
 linear model and on a tabulated one), calls each function once on all of it
 to warm up, then times it in passes that alternate between two states:
 
-- ``warm``: the package's caches keep what earlier calls left in them;
-- ``cold``: the caches are emptied before every call, as in a fresh process.
+- ``warm``: the package's caches, and the constants a selection pair keeps,
+  hold what earlier calls left in them;
+- ``cold``: the caches are emptied, and each pair of the corpus drops its
+  constants, before every call, as in a fresh process.
 
 A series is the mean time per call of its fastest pass.  The script prints
 each series' median over the rounds per checkout, the ratio to the first
@@ -35,8 +37,12 @@ from pathlib import Path
 
 PI = math.pi
 
-# (module, name) of each cache a checkout may hold; a missing one is skipped
+# (module, name) of each cache a checkout may hold, and the cached property
+# in which a SelectionPair keeps its constants; a missing one is skipped.  The
+# two weakmeas caches are those of older checkouts, which kept a pair's
+# constants and a model's terms at one omega there.
 CACHES = (("fourier", "_tables"), ("weakmeas", "_pair_cache"), ("weakmeas", "_omega_cache"))
+PAIR_CONSTANTS = "_constants"
 
 
 def _corpus(inversions, searches):
@@ -96,11 +102,15 @@ def child(inversions, searches, passes):
         if cache is not None:
             caches.append(cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)
 
+    calls = _corpus(inversions, searches)
+    pairs = {id(a): a for _, args, _ in calls for a in args if isinstance(a, wl.SelectionPair)}
+
     def clear():
         for c in caches:
             c()
+        for pair in pairs.values():
+            vars(pair).pop(PAIR_CONSTANTS, None)
 
-    calls = _corpus(inversions, searches)
     digest = hashlib.sha256()
     for name, args, kwargs in calls:
         digest.update(_outcome(getattr(wl, name), args, kwargs).encode())

@@ -15,9 +15,9 @@ makes two-dimensional unwrapping ill-defined.
 """
 
 import math
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,13 +80,6 @@ _UNWRAP_LIMIT = 2.0 ** 40
 # their temporaries, and the Python floats of the atan2 map, span one slice
 _SLICE = 1 << 14
 
-# entries of the two caches (_cached): the constants of a selection pair
-# (_pair_constants), and the terms of a model at one omega (_omega_record)
-_PAIRS_CACHED = 32
-_RECORDS_CACHED = 64
-_pair_cache = {}
-_omega_cache = {}
-
 
 @dataclass(frozen=True)
 class SelectionPair:
@@ -100,6 +93,16 @@ class SelectionPair:
                 or not isinstance(self.psi_f, PolarizationState):
             raise TypeError("SelectionPair needs PolarizationState fields; "
                             "see selection() for label/angle shorthand")
+
+    @cached_property
+    def _constants(self):
+        """``_pair_constants(self)``, computed on first use."""
+        return _pair_constants(self)
+
+    def __getstate__(self):
+        # a pickle or copy holds the states only; its read-only constants
+        # are worked out again on first use
+        return {"psi_in": self.psi_in, "psi_f": self.psi_f}
 
 
 def _as_state(value):
@@ -201,30 +204,6 @@ def _cos_sin_table(values):
     return np.cos(values), np.sin(values)
 
 
-def _cached(cache, bound, owner, key, make, *args):
-    """``make(*args)``, kept in ``cache`` under ``key`` while ``owner`` lives.
-
-    The key holds ``id(owner)``, not the owner: a model or pair that compares
-    equal to another can differ from it in a signed zero.  An entry holds a
-    weak reference to its owner, so it keeps no model alive, and an entry
-    whose owner has died, and whose id another object may have taken, is
-    made again.  An owner that takes no weak reference, such as a pair held
-    in a namedtuple, is not cached.  A full cache is emptied, which bounds
-    it without an order to keep.  A call that raises stores nothing.
-    """
-    entry = cache.get(key)
-    if entry is None or entry[0]() is not owner:
-        try:
-            ref = weakref.ref(owner)
-        except TypeError:
-            return make(*args)
-        entry = (ref, make(*args))
-        if len(cache) >= bound:
-            cache.clear()
-        cache[key] = entry
-    return entry[1]
-
-
 def _pair_constants(pair):
     """What ``_beta_weights`` and ``_closed_form_seed`` take from the pair alone.
 
@@ -237,7 +216,7 @@ def _pair_constants(pair):
     times a complex a adds 0.0*a.real to the imaginary part and subtracts
     0.0*a.imag from the real part; x - z is x + (-z) in IEEE arithmetic, so
     ``zeros`` holds -(0.0*a.imag) on the real rows and one addition applies
-    every term.
+    every term.  Both arrays are read-only, since a pair keeps them.
 
     The seed's terms are c, k1 and k2 of ``_closed_form_seed``, the radius
     hypot(k1, k2) and the angle atan2(k2, k1), or None where the weights are
@@ -257,12 +236,14 @@ def _pair_constants(pair):
         radius = math.hypot(k1, k2)
         if radius != 0.0:
             seed = c, k1, k2, radius, math.atan2(k2, k1)
+    parts.setflags(write=False)
+    zeros.setflags(write=False)
     return parts, zeros, seed
 
 
 def _pair(pair):
-    """``_pair_constants(pair)``, from a cache keyed by the pair's identity."""
-    return _cached(_pair_cache, _PAIRS_CACHED, pair, id(pair), _pair_constants, pair)
+    """The pair's constants: a ``SelectionPair`` keeps them, any other pair computes them anew."""
+    return pair._constants if isinstance(pair, SelectionPair) else _pair_constants(pair)
 
 
 def _beta_weights(betas, pair):
@@ -272,8 +253,7 @@ def _beta_weights(betas, pair):
     so each element matches ``_weights`` bitwise, signed zeros included: a
     float c times a complex a is (c*a.real - 0.0*a.imag, c*a.imag +
     0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
-    a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``;
-    the pair's constant rows come from ``_pair``.
+    a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``.
     """
     betas = _check_axis("beta", betas)
     parts, zeros, _ = _pair(pair)
@@ -414,29 +394,15 @@ def phase_spectrum(model, beta, pair, omegas):
     return PhaseSpectrum(w, phase, singular, undersampled)
 
 
-def _omega_record(model, omega):
-    """The bases of T and of N at one omega: cos and sin of both phases, then times the delays."""
+def _t_and_numerator(model, omega, beta, pair):
+    """(re, im) of T and of the weak-value numerator N at one point."""
     phi_te, phi_tm = phases(model, omega)
     tau_te, tau_tm = group_delays(model, omega)
     cte, ste = math.cos(phi_te), math.sin(phi_te)
     ctm, stm = math.cos(phi_tm), math.sin(phi_tm)
-    return (cte, ste, ctm, stm), (tau_te * cte, tau_te * ste, tau_tm * ctm, tau_tm * stm)
-
-
-def _t_and_numerator(model, omega, beta, pair):
-    """(re, im) of T and of the weak-value numerator N at one point.
-
-    ``_omega_record`` comes from a cache keyed by the model's identity and
-    the exact bits of the checked omega (0.0 == -0.0, and their phases can
-    differ in sign), so the evaluations of one root search take the model
-    once.  The omega check runs on every call.
-    """
-    omega = _check_omega(model, omega)
-    bases, delayed = _cached(_omega_cache, _RECORDS_CACHED, model,
-                             (id(model), omega, math.copysign(1.0, omega)),
-                             _omega_record, model, omega)
     weights = _weights(beta, pair)
-    return _bilinear(*bases, *weights), _bilinear(*delayed, *weights)
+    return (_bilinear(cte, ste, ctm, stm, *weights),
+            _bilinear(tau_te * cte, tau_te * ste, tau_tm * ctm, tau_tm * stm, *weights))
 
 
 def _null_check(tre, tim, omega, beta):
@@ -653,7 +619,7 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
     As 2 p1 = c + k1 cos 2beta + k2 sin 2beta, each root gives beta modulo pi
     through one acos.  None when the weights are complex (elliptical states),
     when the bracket is pi or wider, or when not exactly one of these betas
-    lies in [lo, hi].  The pair's terms come from ``_pair``.
+    lies in [lo, hi].
     """
     terms = _pair(pair)[2]
     if terms is None or hi - lo >= math.pi:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from weaklight import PolarizationState, SelectionPair
+from weaklight import PolarizationState, SelectionPair, apply, flight_operator
 
 
 def random_state(rng):
@@ -15,6 +15,17 @@ def random_state(rng):
 
 def random_pair(rng):
     return SelectionPair(random_state(rng), random_state(rng))
+
+
+def orthogonal_state(state):
+    """The state orthogonal to ``state``: (-conj(a2), conj(a1))."""
+    return PolarizationState(-state.a2.conjugate(), state.a1.conjugate())
+
+
+def flight_expectation(model, omega, beta, psi):
+    """<psi|F|psi>, with F the time-of-flight operator ``flight_operator``."""
+    out = apply(flight_operator(model, omega, beta), psi)
+    return psi.a1.conjugate() * out[0] + psi.a2.conjugate() * out[1]
 
 
 def op_matrix(op):

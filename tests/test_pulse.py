@@ -10,6 +10,7 @@ from weaklight import (
     DEFAULT_MODEL,
     PostselectionNull,
     PulseField,
+    SelectionPair,
     SpectralGrid,
     gaussian_pulse,
     peak_time,
@@ -17,7 +18,7 @@ from weaklight import (
     selection,
     transfer_line,
 )
-from conftest import random_pair
+from conftest import flight_expectation, orthogonal_state, random_pair
 from weaklight.fourier import dft_forward, dft_inverse
 from weaklight.pulse import _analysis, _synthesis
 from weaklight.weakmeas import SINGULAR_TOL, _grids
@@ -364,3 +365,26 @@ class TestWeakValueMovesThePulse:
             assert gaps == sorted(gaps, reverse=True), gaps
             assert gaps[0] > 1e3 * ROUNDING_ULPS * np.finfo(float).eps, gaps
             assert all(gap <= EDGE_FACTOR * edge for gap, edge in zip(gaps, edges)), gaps
+
+
+class TestPulseSumRule:
+    """Through an orthogonal pair of analyzers, the energy-weighted centroid shifts
+    sum to <psi_in|F|psi_in>: the energies sum to the input's, and the two output
+    fields together carry the whole delayed vector field."""
+
+    # 4096 samples over 40 sigma: the windows cut off tails far below rounding
+    @settings(max_examples=40, deadline=None)
+    @given(pair=seeded_pairs, beta=st.floats(0.0, PI),
+           carrier=st.sampled_from([0.97, 1.0, 1.03]), sigma=st.floats(0.003, 0.02))
+    def test_energy_weighted_centroid_shifts_sum_to_the_expectation(self, pair, beta, carrier,
+                                                                    sigma):
+        pulse = gaussian_pulse(SpectralGrid(4096, carrier, 40.0 * sigma), sigma)
+        total = 0.0
+        for psi_f in (pair.psi_f, orthogonal_state(pair.psi_f)):
+            _, report = propagate(DEFAULT_MODEL, beta, SelectionPair(pair.psi_in, psi_f), pulse)
+            total += report.energy_transmission * report.centroid_shift
+        # the default model's delays, and so F, are the same at every omega
+        want = flight_expectation(DEFAULT_MODEL, carrier, beta, pair.psi_in).real
+        # the time side's scale in weak_value_identities: the delays and the pulse width
+        scale = 10.0 * PI + 1.0 / sigma
+        assert abs(total - want) <= 8 * np.finfo(float).eps * scale, (total, want)

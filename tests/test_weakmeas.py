@@ -1,19 +1,19 @@
 import cmath
-import gc
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
-import weakref
 from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pair, random_state
+from conftest import flight_expectation, orthogonal_state, random_pair, random_state
 from weaklight import (
     DEFAULT_MODEL,
     BadBracket,
@@ -49,6 +49,7 @@ from weaklight import (
 )
 from weaklight import crystal, fourier, weakmeas
 from weaklight.crystal import phase_arrays
+from weaklight.weakmeas import _grids
 
 PI = math.pi
 VV = selection("V", "V")
@@ -1116,11 +1117,10 @@ def hexes(values):
 
 
 class TestCaches:
-    """The per-pair and per-(model, omega) caches of the search path.
+    """A ``SelectionPair`` keeps its constants; every other value is computed per call.
 
     Models, pairs and omegas that compare equal can differ in a signed zero,
-    so the caches key on identity and exact bits; every cached evaluation
-    must equal one made with the caches empty, bit for bit.
+    so each must get its own values, bit for bit those of a fresh evaluation.
     """
 
     def test_equal_models_and_omegas_keep_their_own_records(self):
@@ -1137,20 +1137,20 @@ class TestCaches:
                           group_delay(model, omega, -0.0, pair),
                           weak_flight_value(model, omega, -0.0, pair)))
 
-        want = []
-        for point in points:
-            weakmeas._omega_cache.clear()
-            want.append(evaluate(*point))
-        # the records differ, so a shared entry would show
+        want = [evaluate(*point) for point in points]
+        # the results differ, so a value shared between points would show
         assert want[0] != want[3]
         for order in (range(4), range(3, -1, -1)):
-            weakmeas._omega_cache.clear()
             for i in [*order, *order]:
                 assert evaluate(*points[i]) == want[i], (i, list(order))
 
     def test_equal_pairs_keep_their_own_rows(self):
-        pairs = [SelectionPair(PolarizationState(1, a2), PolarizationState(1, a2))
-                 for a2 in (0, complex(-0.0, 0.0))]
+        a2s = (0, complex(-0.0, 0.0))
+
+        def build(a2):
+            return SelectionPair(PolarizationState(1, a2), PolarizationState(1, a2))
+
+        pairs = [build(a2) for a2 in a2s]
         assert pairs[0] == pairs[1] and hash(pairs[0]) == hash(pairs[1])
         betas = np.array([0.0, -0.0, 0.3, PI / 2, -PI, 2.0])
         tau = closed_form_delay(0.2 * PI)
@@ -1159,48 +1159,92 @@ class TestCaches:
             return hexes((weakmeas._pair(pair), weakmeas._beta_weights(betas, pair),
                           estimate_beta(DEFAULT_MODEL, 1.0, pair, tau, (0.15 * PI, 0.24 * PI))))
 
-        want = []
-        for pair in pairs:
-            weakmeas._pair_cache.clear()
-            want.append(evaluate(pair))
-        # the constant rows differ in the sign of zeros, so a shared entry would show
+        want = [evaluate(build(a2)) for a2 in a2s]
+        # the constant rows differ in the sign of zeros, so shared rows would show
         assert want[0][0] != want[1][0]
-        weakmeas._pair_cache.clear()
         for i in (0, 1, 0, 1, 1, 0, 0):
             assert evaluate(pairs[i]) == want[i], i
 
-    def test_caches_are_bounded(self):
-        for k in range(3 * weakmeas._RECORDS_CACHED):
-            group_delay(DEFAULT_MODEL, 0.5 + 1e-3 * k, 0.3, VV)
-            assert len(weakmeas._omega_cache) <= weakmeas._RECORDS_CACHED
-        for k in range(3 * weakmeas._PAIRS_CACHED):
-            weakmeas._beta_weights([0.3], selection(0.01 * k, "V"))
-            assert len(weakmeas._pair_cache) <= weakmeas._PAIRS_CACHED
-
-    def test_objects_without_weak_references_are_evaluated_uncached(self):
+    def test_any_pair_type_gives_the_selection_pairs_results(self):
         # any object with psi_in and psi_f serves as a pair
         pair = namedtuple("Pair", "psi_in psi_f")(VV.psi_in, VV.psi_f)
         for _ in range(2):
+            assert hexes(weakmeas._pair(pair)) == hexes(weakmeas._pair(VV))
             assert estimate_beta(DEFAULT_MODEL, 1.0, pair, 54.86, (0.6, 0.78)) \
                 == estimate_beta(DEFAULT_MODEL, 1.0, VV, 54.86, (0.6, 0.78))
             assert group_delay(DEFAULT_MODEL, 1.0, 0.7, pair) \
                 == group_delay(DEFAULT_MODEL, 1.0, 0.7, VV)
 
-    def test_caches_keep_nothing_alive_and_miss_a_reused_id(self):
-        model, pair = LinearDispersion(tau_te=7.0), selection(0.3, "D45")
-        refs = weakref.ref(model), weakref.ref(pair)
-        group_delay(model, 1.0, 0.3, pair)
-        weakmeas._beta_weights([0.3], pair)
-        del model, pair
-        gc.collect()
-        assert all(ref() is None for ref in refs)
-        # a freed temporary's id is often the next one's: each must get its own entries
+    def test_pair_constants_refuse_writes(self):
         pair = selection(0.3, "D45")
-        want = []
-        for k in range(20):
-            weakmeas._omega_cache.clear()
-            want.append(group_delay(LinearDispersion(tau_te=5.0 + k), 1.0, 0.3, pair))
-        for k in range(20):
-            assert hexes(weakmeas._beta_weights([0.3], selection(0.1 * k, "V"))[:, 0]) \
-                == hexes(weakmeas._weights(0.3, selection(0.1 * k, "V")))
-            assert group_delay(LinearDispersion(tau_te=5.0 + k), 1.0, 0.3, pair) == want[k]
+        parts, zeros, _ = weakmeas._pair(pair)
+        assert weakmeas._pair(pair)[0] is parts
+        for rows in (parts, zeros):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0, 0] = 1.0
+
+    def test_pair_constants_stay_out_of_eq_hash_repr_and_copies(self):
+        kept, fresh = selection(0.3, "D45"), selection(0.3, "D45")
+        text, digest = repr(kept), hash(kept)
+        weakmeas._beta_weights([0.3], kept)
+        assert "_constants" in vars(kept) and "_constants" not in vars(fresh)
+        assert kept == fresh and hash(kept) == hash(fresh) == digest
+        assert repr(kept) == repr(fresh) == text
+        for twin in (pickle.loads(pickle.dumps(kept)), copy.copy(kept)):
+            assert twin == kept and "_constants" not in vars(twin)
+            assert hexes(weakmeas._pair(twin)) == hexes(weakmeas._pair(kept))
+            assert not weakmeas._pair(twin)[0].flags.writeable
+
+
+# each sum rule holds within this many ulps of its scale: 1 for the
+# probabilities, the larger eigen-delay for conj(T) N
+SUM_ULPS = 8
+
+
+def assert_sum_rules(model, omegas, betas, pair):
+    """Both weak-value sum rules over the orthogonal analyzer pair, at each point of omegas x betas.
+
+    With f_perp orthogonal to psi_f, |T_f|^2 + |T_f_perp|^2 = 1 and
+    conj(T_f) N_f + conj(T_f_perp) N_f_perp = <psi_in|F|psi_in>, since T_f =
+    <f|U|psi_in> and N_f = <f|U F|psi_in>.  p_f W_f = conj(T_f) N_f stays
+    finite where T_f vanishes.  Checked on the scalar path and the grid path.
+    """
+    pairs = (pair, SelectionPair(pair.psi_in, orthogonal_state(pair.psi_f)))
+    grids = [_grids(model, omegas, betas, p, with_delay=True)[2:] for p in pairs]
+    eps = np.finfo(float).eps
+    for i, omega in enumerate(omegas):
+        # an eigen-delay that is subnormal rounds to the smallest normal's ulps
+        scale = max(*map(abs, crystal.group_delays(model, omega)), np.finfo(float).tiny)
+        for j, beta in enumerate(betas):
+            want = flight_expectation(model, omega, beta, pair.psi_in)
+            scalar = [weakmeas._t_and_numerator(model, omega, beta, p) for p in pairs]
+            grid = [((tre[i, j], tim[i, j]), (nre[i, j], nim[i, j]))
+                    for tre, tim, nre, nim in grids]
+            for path, terms in (("scalar", scalar), ("grid", grid)):
+                prob = sum(tre * tre + tim * tim for (tre, tim), _ in terms)
+                mean = sum(complex(*t).conjugate() * complex(*n) for t, n in terms)
+                where = (path, omega, beta)
+                assert abs(prob - 1.0) <= SUM_ULPS * eps, (where, prob)
+                assert abs(mean - want) <= SUM_ULPS * eps * scale, (where, mean, want)
+
+
+class TestSumRules:
+    """The weak values of an orthogonal pair of post-selections average to the expectation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(models_with_omegas, betas, pairs)
+    def test_sum_rules_hold_on_both_paths(self, model_omegas, beta_values, pair):
+        model, omegas = model_omegas
+        assert_sum_rules(model, omegas, beta_values, pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([DEFAULT_MODEL, TABLE]), pairs)
+    @example(DEFAULT_MODEL, VV)
+    @example(TABLE, VV)
+    def test_sum_rules_hold_on_the_zeros(self, model, pair):
+        try:
+            zeros = find_singularities(model, (0.3, 1.7), (0.0, PI), pair)
+        except PostselectionNull:
+            return
+        for s in zeros:
+            assert_sum_rules(model, [s.omega], [s.beta], pair)
