@@ -253,9 +253,9 @@ def _beta_weights(betas, pair):
     so each element matches ``_weights`` bitwise, signed zeros included: a
     float c times a complex a is (c*a.real - 0.0*a.imag, c*a.imag +
     0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
-    a.real*b.imag + a.imag*b.real).  ``betas`` goes through ``_check_axis``.
+    a.real*b.imag + a.imag*b.real).  ``betas`` is a checked axis
+    (``_check_axis``), such as ``_grids`` and ``_scan`` give.
     """
-    betas = _check_axis("beta", betas)
     parts, zeros, _ = _pair(pair)
     out = np.empty((4, betas.size))
     for start in range(0, betas.size, _SLICE):
@@ -282,14 +282,16 @@ def _beta_weights(betas, pair):
 def _grids(model, omegas, betas, pair, with_delay=False):
     """The checked axes, then T (and optionally the weak-value numerator) on omegas x betas.
 
-    Both axes go through ``_check_axis`` first.  The grids are float arrays
-    of shape (omegas.size, betas.size), the row-major layout of
+    The checks run in the scalar path's order: the omegas (``_check_axis``),
+    their domain and phases (``phase_arrays``), then the betas, so where an
+    omega and a beta are both unusable the omega is named.  The grids are
+    float arrays of shape (omegas.size, betas.size), the row-major layout of
     ``contour_grid``.
     """
     omegas = _check_axis("omega array", omegas)
-    betas = _check_axis("beta", betas)
     # the phases are freed once their tables exist, before the kernel runs
     (cte, ste), (ctm, stm) = map(_cos_sin_table, phase_arrays(model, omegas))
+    betas = _check_axis("beta", betas)
     weights = _beta_weights(betas, pair)
     tre, tim = backends.bilinear_grid(cte, ste, ctm, stm, *weights)
     if not with_delay:
@@ -697,23 +699,15 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     if not lo < hi:
         raise BadBracket(f"bracket ({lo!r}, {hi!r}) is not an increasing interval")
 
-    # One array scan at the one omega gives the same delays as 64
-    # group_delay calls.  The checks those calls make first run here in their
-    # order: the scalar omega check, the phases' (in phase_arrays), then the
-    # betas' (in _beta_weights), so a bad omega or the NaN betas of an
-    # overflowing bracket raise as a per-point scan would.
-    w = np.array([_check_omega(model, omega)])
-    phi = np.concatenate(phase_arrays(model, w))
-    tau = np.concatenate(delay_arrays(model, w))
-    cos_sin = np.array(_cos_sin_table(phi))
-    # one omega table, as (T or N, cos or sin, TE or TM): row 0 holds T's
-    # bases and row 1 N's, the delays times T's
-    table = np.array((cos_sin, tau * cos_sin))
-    are, aim, bre, bim = table[:, 0, 0], table[:, 1, 0], table[:, 0, 1], table[:, 1, 1]
+    # The scan is the one row of a single-omega grid.  The scalar omega check
+    # runs first, then _grids checks the phases and then the betas, as 64
+    # group_delay calls would: a bad omega or the NaN betas of an
+    # overflowing bracket raise the scalar path's message.
+    w = [_check_omega(model, omega)]
     with np.errstate(over="ignore", invalid="ignore"):
         betas = _linspace(lo, hi, 64)
-    tre, tim = backends.bilinear_grid(are, aim, bre, bim, *_beta_weights(betas, pair))
-    _, singular, scanned = _delays(tre[0], tim[0], tre[1], tim[1])
+    _, _, tre, tim, nre, nim = _grids(model, w, betas, pair, with_delay=True)
+    _, singular, scanned = _delays(tre[0], tim[0], nre[0], nim[0])
     if singular.any():
         i = int(np.argmax(singular))
         raise BadBracket(f"bracket contains a postselection null near beta={float(betas[i])!r}")
@@ -742,7 +736,8 @@ def estimate_beta(model, omega, pair, tau_measured, bracket):
     def fun(b):
         return group_delay(model, omega, b, pair) - tau_measured
 
-    seed = _closed_form_seed(pair, phi.tolist(), tau.tolist(), tau_measured, lo, hi)
+    seed = _closed_form_seed(pair, phases(model, omega), group_delays(model, omega),
+                             tau_measured, lo, hi)
     if seed is None:
         return _refine_root(fun, lo, hi, f_lo, f_hi)
     return _polish(fun, seed, lo, hi, f_lo, f_hi)

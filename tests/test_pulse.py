@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,30 @@ class TestPropagate:
         out, _ = propagate(DEFAULT_MODEL, 0.1, VV, p)
         assert out.spectral_energy() == pytest.approx(out.temporal_energy(),
                                                       rel=1e-9)
+
+
+class TestPulseMemory:
+    # peaks under tracemalloc in complex n-arrays, at 2^16 samples, where the
+    # fixed costs are below 0.01 of an array (at 2^14 they read 5.26 and 6.51)
+    N = 1 << 16
+
+    def test_peaks_in_n_arrays(self):
+        grid = SpectralGrid(self.N, 1.0, 0.64)
+        # the first run builds the DFT tables, which are kept for later runs
+        propagate(DEFAULT_MODEL, 0.3, VV, gaussian_pulse(grid, 0.01))
+        tracemalloc.start()
+        try:
+            pulse = gaussian_pulse(grid, 0.01)
+            pulse_peak = tracemalloc.get_traced_memory()[1]
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            propagate(DEFAULT_MODEL, 0.3, VV, pulse)
+            propagate_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        unit = 16 * self.N
+        assert pulse_peak <= 5.1 * unit
+        assert propagate_peak <= 6.1 * unit
 
 
 def weak_value_identities(pair, beta, carrier, sigma, n, span):

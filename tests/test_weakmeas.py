@@ -1096,6 +1096,26 @@ class TestArgumentChecks:
         with pytest.raises(BadBracket, match=re.escape(match)):
             estimate_beta(DEFAULT_MODEL, 1.0, VV, 30.0, bracket)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega", [-1.0, 1e308])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda w: contour_grid(DEFAULT_MODEL, [w], [math.nan], VV), id="contour"),
+        pytest.param(lambda w: transfer_grid(DEFAULT_MODEL, [w], [math.nan], VV),
+                     id="transfer-grid"),
+        pytest.param(lambda w: transfer_line(DEFAULT_MODEL, [w], math.nan, VV),
+                     id="transfer-line"),
+        pytest.param(lambda w: sweep_angle(DEFAULT_MODEL, w, [math.nan], VV),
+                     id="sweep-angle")])
+    def test_bad_omega_is_named_before_a_nan_beta(self, omega, call):
+        # the grid paths check in the scalar order: the omega, its domain and
+        # phases, then the betas (-1.0 is out of the domain, 1e308's phase overflows)
+        with pytest.raises(ValueError) as scalar:
+            transfer(DEFAULT_MODEL, omega, math.nan, VV)
+        assert "omega" in str(scalar.value)
+        with pytest.raises(ValueError) as grid:
+            call(omega)
+        assert str(grid.value) == str(scalar.value)
+
     def test_selection_pair_needs_states(self):
         with pytest.raises(TypeError, match="PolarizationState"):
             SelectionPair("V", "V")
@@ -1185,7 +1205,7 @@ class TestCaches:
     def test_pair_constants_stay_out_of_eq_hash_repr_and_copies(self):
         kept, fresh = selection(0.3, "D45"), selection(0.3, "D45")
         text, digest = repr(kept), hash(kept)
-        weakmeas._beta_weights([0.3], kept)
+        weakmeas._beta_weights(np.array([0.3]), kept)
         assert "_constants" in vars(kept) and "_constants" not in vars(fresh)
         assert kept == fresh and hash(kept) == hash(fresh) == digest
         assert repr(kept) == repr(fresh) == text
