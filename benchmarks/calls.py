@@ -14,10 +14,10 @@ both branches of the V/V delay at omega = 1, and zero searches on the
 linear model and on a tabulated one), calls each function once on all of it
 to warm up, then times it in passes that alternate between two states:
 
-- ``warm``: the package's caches, and the constants a selection pair keeps,
-  hold what earlier calls left in them;
-- ``cold``: the caches are emptied, and each pair of the corpus drops its
-  constants, before every call, as in a fresh process.
+- ``warm``: the package's caches (the DFT tables; in older checkouts also
+  the constants a selection pair kept) hold what earlier calls left in them;
+- ``cold``: the caches are emptied, and each pair of the corpus drops any
+  kept constants, before every call, as in a fresh process.
 
 A series is the mean time per call of its fastest pass.  The script prints
 each series' median over the rounds per checkout, the ratio to the first
@@ -37,11 +37,11 @@ from pathlib import Path
 
 PI = math.pi
 
-# (module, name) of each cache a checkout may hold, and the cached property
-# in which a SelectionPair keeps its constants; a missing one is skipped.  The
-# two weakmeas caches are those of older checkouts, which kept a pair's
-# constants and a model's terms at one omega there.
-CACHES = (("fourier", "_tables"), ("weakmeas", "_pair_cache"), ("weakmeas", "_omega_cache"))
+# (module, name) of each cache a checkout may hold, and the cached property in
+# which a SelectionPair of older checkouts kept its constants; a missing one is
+# skipped.  Checkouts whose pair holds its two states only have no such
+# property, but older ones still serve as the parent of a comparison.
+CACHES = (("fourier", "_tables"),)
 PAIR_CONSTANTS = "_constants"
 
 

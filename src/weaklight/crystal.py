@@ -97,8 +97,14 @@ class TabulatedDispersion:
         object.__setattr__(self, "omega_samples", w)
         object.__setattr__(self, "phi_te_samples", te)
         object.__setattr__(self, "phi_tm_samples", tm)
-        phi = (_pchip(w, te), _pchip(w, tm))
-        dphi = tuple(np.stack((c[1], 2.0 * c[2], 3.0 * c[3])) for c in phi)
+        # samples near the float limit can overflow the interpolant's slopes
+        # and terms; such a table is refused whole, not at some omega later
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = (_pchip(w, te), _pchip(w, tm))
+            dphi = tuple(np.stack((c[1], 2.0 * c[2], 3.0 * c[3])) for c in phi)
+        for name, c, dc in zip(("phi_te_samples", "phi_tm_samples"), phi, dphi):
+            if not (np.isfinite(c).all() and np.isfinite(dc).all()):
+                raise ValueError(f"{name} must give a finite interpolant")
         object.__setattr__(self, "_knots", w.tolist())
         object.__setattr__(self, "_phi_table", phi)
         object.__setattr__(self, "_dphi_table", dphi)

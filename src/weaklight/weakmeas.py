@@ -17,7 +17,6 @@ makes two-dimensional unwrapping ill-defined.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,16 +92,6 @@ class SelectionPair:
                 or not isinstance(self.psi_f, PolarizationState):
             raise TypeError("SelectionPair needs PolarizationState fields; "
                             "see selection() for label/angle shorthand")
-
-    @cached_property
-    def _constants(self):
-        """``_pair_constants(self)``, computed on first use."""
-        return _pair_constants(self)
-
-    def __getstate__(self):
-        # a pickle or copy holds the states only; its read-only constants
-        # are worked out again on first use
-        return {"psi_in": self.psi_in, "psi_f": self.psi_f}
 
 
 def _as_state(value):
@@ -204,78 +193,50 @@ def _cos_sin_table(values):
     return np.cos(values), np.sin(values)
 
 
-def _pair_constants(pair):
-    """What ``_beta_weights`` and ``_closed_form_seed`` take from the pair alone.
-
-    ``_beta_weights``' constant rows are the state parts and CPython's
-    signed-zero terms.  Both have shape (2, 8, 1): cos(beta) or sin(beta)
-    as the factor, then eight rows, the real and imaginary part of w and of
-    v in the add rotation (w1, v1) and in the subtract one (w2, v2).
-    cos(beta) multiplies psi_f.a1 and psi_in.a1 in the add rotation and
-    their a2 in the subtract one, sin(beta) the other components.  A float
-    times a complex a adds 0.0*a.real to the imaginary part and subtracts
-    0.0*a.imag from the real part; x - z is x + (-z) in IEEE arithmetic, so
-    ``zeros`` holds -(0.0*a.imag) on the real rows and one addition applies
-    every term.  Both arrays are read-only, since a pair keeps them.
-
-    The seed's terms are c, k1 and k2 of ``_closed_form_seed``, the radius
-    hypot(k1, k2) and the angle atan2(k2, k1), or None where the weights are
-    complex or the radius is zero.
-    """
-    f, i = pair.psi_f, pair.psi_in
-    # the parts in (factor, rotation, w or v, re or im) order, then each
-    # part's term: 0.0 times the other part, negated on the real parts
-    parts = np.array([f.a1, i.a1, f.a2, i.a2, f.a2, i.a2, f.a1, i.a1]).view(float)
-    zeros = 0.0 * parts.reshape(8, 2)[:, ::-1] * [-1.0, 1.0]
-    parts, zeros = parts.reshape(2, 8, 1), zeros.reshape(2, 8, 1)
-    f1, f2 = f.a1.conjugate(), f.a2.conjugate()
-    terms = (f1 * i.a1 + f2 * i.a2, f1 * i.a1 - f2 * i.a2, f1 * i.a2 + f2 * i.a1)
-    seed = None
-    if all(z.imag == 0.0 for z in terms):
-        c, k1, k2 = (z.real for z in terms)
-        radius = math.hypot(k1, k2)
-        if radius != 0.0:
-            seed = c, k1, k2, radius, math.atan2(k2, k1)
-    parts.setflags(write=False)
-    zeros.setflags(write=False)
-    return parts, zeros, seed
-
-
-def _pair(pair):
-    """The pair's constants: a ``SelectionPair`` keeps them, any other pair computes them anew."""
-    return pair._constants if isinstance(pair, SelectionPair) else _pair_constants(pair)
+# A float c times a complex a in CPython is (c*a.real - 0.0*a.imag, c*a.imag +
+# 0.0*a.real).  x - z is x + (-z) in IEEE arithmetic, so the zero terms are
+# these factors times (a.imag, a.real), added on (a.real, a.imag).
+_ZERO_FACTORS = np.array([-0.0, 0.0])
 
 
 def _beta_weights(betas, pair):
     """``_weights`` over a beta array: its four parts as the rows of one (4, n) array.
 
     Float arrays repeat CPython's complex arithmetic operation for operation,
-    so each element matches ``_weights`` bitwise, signed zeros included: a
-    float c times a complex a is (c*a.real - 0.0*a.imag, c*a.imag +
-    0.0*a.real), and a times b is (a.real*b.real - a.imag*b.imag,
-    a.real*b.imag + a.imag*b.real).  ``betas`` is a checked axis
-    (``_check_axis``), such as ``_grids`` and ``_scan`` give.
+    so each element matches ``_weights`` bitwise, signed zeros included: the
+    zero terms of a float times a complex (``_ZERO_FACTORS``), then the
+    rotations, then conj(w) v as (w.real*v.real - (-w.imag)*v.imag,
+    w.real*v.imag + (-w.imag)*v.real), which is w.real*v.real +
+    w.imag*v.imag and w.real*v.imag - w.imag*v.real bit for bit.  numpy's
+    complex product would not do: where the CPU has FMA it fuses c*a.real
+    with the zero term, and so keeps the sign of a product that underflows
+    to zero where CPython's subtraction drops it.  ``betas`` is a checked
+    axis (``_check_axis``), such as ``_grids`` and ``_scan`` give.
     """
-    parts, zeros, _ = _pair(pair)
+    f, i = pair.psi_f, pair.psi_in
+    # eight rows: the real and imaginary parts of f.a1, i.a1, f.a2 and i.a2,
+    # and the zero term of each
+    parts = np.array((f.a1, i.a1, f.a2, i.a2)).view(float).reshape(4, 2)
+    zeros = (parts[:, ::-1] * _ZERO_FACTORS).reshape(8, 1)
+    parts = parts.reshape(8, 1)
     out = np.empty((4, betas.size))
     for start in range(0, betas.size, _SLICE):
         part = slice(start, start + _SLICE)
-        # c a and s b for every state part, as (factor, row, beta)
+        # c a and s a for every state part, as (factor, row, beta)
         terms = np.array(_cos_sin_table(betas[part]))[:, None] * parts
         terms += zeros
-        # the rotations w1, v1 = c a + s b and w2, v2 = c a - s b
-        add, sub = terms[0, :4], terms[0, 4:]
-        add += terms[1, :4]
-        sub -= terms[1, 4:]
+        c_terms, s_terms = terms
+        # the rotations (w1, v1) = c a1 + s a2 and (w2, v2) = c a2 - s a1
+        rot1, rot2 = c_terms[:4], c_terms[4:]
+        rot1 += s_terms[4:]
+        rot2 -= s_terms[:4]
         # (p1, p2) = conj(w) v, with w and v as (rotation, re or im, beta)
-        rot = terms[0].reshape(2, 2, 2, -1)
+        rot = c_terms.reshape(2, 2, 2, -1)
         w, v = rot[:, 0], rot[:, 1]
-        w_im = w[:, 1]
-        np.negative(w_im, out=w_im)
         prod = w * v
-        np.subtract(prod[:, 0], prod[:, 1], out=out[::2, part])
+        np.add(prod[:, 0], prod[:, 1], out=out[::2, part])
         prod = w * v[:, ::-1]
-        np.add(prod[:, 0], prod[:, 1], out=out[1::2, part])
+        np.subtract(prod[:, 0], prod[:, 1], out=out[1::2, part])
     return out
 
 
@@ -623,10 +584,20 @@ def _closed_form_seed(pair, phi, tau, tau_measured, lo, hi):
     when the bracket is pi or wider, or when not exactly one of these betas
     lies in [lo, hi].
     """
-    terms = _pair(pair)[2]
-    if terms is None or hi - lo >= math.pi:
+    if hi - lo >= math.pi:
         return None
-    c, k1, k2, radius, theta = terms
+    f, i = pair.psi_f, pair.psi_in
+    f1, f2 = f.a1.conjugate(), f.a2.conjugate()
+    x, y = f1 * i.a1, f2 * i.a2
+    c, k1, k2 = x + y, x - y, f1 * i.a2 + f2 * i.a1
+    # complex weights: an elliptical pair
+    if c.imag or k1.imag or k2.imag:
+        return None
+    c, k1, k2 = c.real, k1.real, k2.real
+    radius = math.hypot(k1, k2)
+    if radius == 0.0:
+        return None
+    theta = math.atan2(k2, k1)
     tau_te, tau_tm = tau
     # u as 2 sin^2(d/2), which keeps its digits where cos d is near 1
     u = 2.0 * math.sin(0.5 * (phi[0] - phi[1])) ** 2

@@ -76,6 +76,17 @@ class TestParse:
             parse(["spectrum", "--dispersion-csv", str(tmp_path / "no.csv")])
         assert exc.value.code == 1
 
+    def test_overflowing_dispersion_csv_exits_1(self, tmp_path, capsys):
+        # finite samples whose interpolant overflows are refused as a NaN row is
+        csv = tmp_path / "disp.csv"
+        csv.write_text("omega,phi_te,phi_tm\n0.1,1,0\n0.2,1e308,0\n0.3,-1e308,0\n",
+                       encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            parse(["contour", "--dispersion-csv", str(csv), "--omega", "0.1:0.3:3"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err \
+            == "weaklight: i/o error: phi_te_samples must give a finite interpolant\n"
+
     @pytest.mark.parametrize("argv", [["bogus"], [], ["--help"], ["-h", "pulse"]])
     def test_top_level_messages_name_every_subcommand(self, argv, capsys):
         # only a run that names its subcommand first builds that subparser alone

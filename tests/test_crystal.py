@@ -382,6 +382,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=match):
             TabulatedDispersion(np.array(w), np.array(te), np.array(tm))
 
+    @pytest.mark.parametrize("te, tm, name", [
+        ([1.0, 1e308, -1e308], [0.0, 0.0, 0.0], "phi_te_samples"),
+        ([0.0, 0.0, 0.0], [1.0, 1e308, -1e308], "phi_tm_samples"),
+    ])
+    def test_tabulated_interpolant_must_be_finite(self, te, tm, name):
+        # the slope from 1e308 to -1e308 overflows: the table is refused as a
+        # whole, without a numpy warning, not at an omega whose samples are finite
+        with pytest.raises(ValueError, match=f"^{name} must give a finite interpolant$"):
+            TabulatedDispersion(np.array([0.1, 0.2, 0.3]), np.array(te), np.array(tm))
+
     def test_tabulated_immutable(self):
         with pytest.raises(ValueError):
             RAMP.omega_samples[0] = 5.0

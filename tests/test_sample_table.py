@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import random_pair
 from weaklight import (
     DEFAULT_MODEL,
+    PolarizationState,
     PostselectionNull,
+    SelectionPair,
     TransferSample,
     contour_grid,
     group_delay,
@@ -23,6 +26,7 @@ from weaklight import (
 )
 from weaklight import weakmeas
 from weaklight.fourier import _tables
+from weaklight.jones import SQRT_HALF
 from weaklight.weakmeas import SampleTable, _beta_weights, _cos_sin_table, _weights
 
 PI = math.pi
@@ -167,6 +171,31 @@ class TestLibmTables:
                 for i, w in enumerate(want):
                     assert all(same(col[i], x) for col, x in zip(columns, w)), \
                         (pair, size, betas[i])
+
+    def test_beta_weights_bitwise_on_signed_zero_parts(self):
+        # Every unit-norm state with parts from {+-0, +-1, +-sqrt(1/2)}, and
+        # states with +-0 and +-1e-200 parts, whose products with a tiny
+        # sin(beta) underflow to a signed zero.  A float times a complex in
+        # CPython subtracts 0.0*a.imag after rounding c*a.real; numpy's
+        # complex product fuses the two where the CPU has FMA, and then
+        # keeps the sign of an underflowed product that CPython drops.
+        values = (0.0, -0.0, 1.0, -1.0, SQRT_HALF, -SQRT_HALF)
+        units = [PolarizationState(complex(a, b), complex(c, d))
+                 for a, b, c, d in product(values, repeat=4)
+                 if abs(a * a + b * b + c * c + d * d - 1.0) < 1e-12]
+        small = (0.0, -0.0, 1e-200, -1e-200)
+        tiny = [PolarizationState(*(complex(a, b), one)[::flip])
+                for a, b in product(small, repeat=2)
+                for one in (1.0, complex(-1.0, -0.0), complex(-0.0, 1.0), complex(0.0, -1.0))
+                for flip in (1, -1)]
+        betas = np.array([0.0, -0.0, PI / 4, PI / 2, -PI / 2, PI, -PI,
+                          1e-300, -1e-300, 1e-200, -5e-324])
+        for states in (units, tiny):
+            for psi_in, psi_f in product(states, repeat=2):
+                pair = SelectionPair(psi_in, psi_f)
+                want = np.array([_weights(b, pair) for b in betas.tolist()]).T
+                got = _beta_weights(betas, pair)
+                assert (got.view(np.uint64) == want.view(np.uint64)).all(), pair
 
     def test_beta_weights_peak_memory(self):
         # the result is 32 MB; whole-axis temporaries took the peak to 104 MB

@@ -1136,8 +1136,8 @@ def hexes(values):
     return None if values is None else float(values).hex()
 
 
-class TestCaches:
-    """A ``SelectionPair`` keeps its constants; every other value is computed per call.
+class TestNothingKeptBetweenCalls:
+    """Every value is computed per call; a pair holds its two states and nothing else.
 
     Models, pairs and omegas that compare equal can differ in a signed zero,
     so each must get its own values, bit for bit those of a fresh evaluation.
@@ -1168,7 +1168,7 @@ class TestCaches:
         a2s = (0, complex(-0.0, 0.0))
 
         def build(a2):
-            return SelectionPair(PolarizationState(1, a2), PolarizationState(1, a2))
+            return SelectionPair(PolarizationState(1, 0), PolarizationState(1, a2))
 
         pairs = [build(a2) for a2 in a2s]
         assert pairs[0] == pairs[1] and hash(pairs[0]) == hash(pairs[1])
@@ -1176,11 +1176,11 @@ class TestCaches:
         tau = closed_form_delay(0.2 * PI)
 
         def evaluate(pair):
-            return hexes((weakmeas._pair(pair), weakmeas._beta_weights(betas, pair),
+            return hexes((weakmeas._beta_weights(betas, pair),
                           estimate_beta(DEFAULT_MODEL, 1.0, pair, tau, (0.15 * PI, 0.24 * PI))))
 
         want = [evaluate(build(a2)) for a2 in a2s]
-        # the constant rows differ in the sign of zeros, so shared rows would show
+        # the weights differ in the sign of zeros, so rows shared between pairs would show
         assert want[0][0] != want[1][0]
         for i in (0, 1, 0, 1, 1, 0, 0):
             assert evaluate(pairs[i]) == want[i], i
@@ -1188,31 +1188,22 @@ class TestCaches:
     def test_any_pair_type_gives_the_selection_pairs_results(self):
         # any object with psi_in and psi_f serves as a pair
         pair = namedtuple("Pair", "psi_in psi_f")(VV.psi_in, VV.psi_f)
-        assert hexes(weakmeas._pair(pair)) == hexes(weakmeas._pair(VV))
+        betas = np.array([0.0, -0.0, 0.3, PI / 2, -PI, 2.0])
+        assert hexes(weakmeas._beta_weights(betas, pair)) \
+            == hexes(weakmeas._beta_weights(betas, VV))
         assert estimate_beta(DEFAULT_MODEL, 1.0, pair, 54.86, (0.6, 0.78)) \
             == estimate_beta(DEFAULT_MODEL, 1.0, VV, 54.86, (0.6, 0.78))
         assert group_delay(DEFAULT_MODEL, 1.0, 0.7, pair) \
             == group_delay(DEFAULT_MODEL, 1.0, 0.7, VV)
 
-    def test_pair_constants_refuse_writes(self):
-        pair = selection(0.3, "D45")
-        parts, zeros, _ = weakmeas._pair(pair)
-        assert weakmeas._pair(pair)[0] is parts
-        for rows in (parts, zeros):
-            with pytest.raises(ValueError, match="read-only"):
-                rows[0, 0, 0] = 1.0
-
-    def test_pair_constants_stay_out_of_eq_hash_repr_and_copies(self):
-        kept, fresh = selection(0.3, "D45"), selection(0.3, "D45")
-        text, digest = repr(kept), hash(kept)
-        weakmeas._beta_weights(np.array([0.3]), kept)
-        assert "_constants" in vars(kept) and "_constants" not in vars(fresh)
-        assert kept == fresh and hash(kept) == hash(fresh) == digest
-        assert repr(kept) == repr(fresh) == text
-        for twin in (pickle.loads(pickle.dumps(kept)), copy.copy(kept)):
-            assert twin == kept and "_constants" not in vars(twin)
-            assert hexes(weakmeas._pair(twin)) == hexes(weakmeas._pair(kept))
-            assert not weakmeas._pair(twin)[0].flags.writeable
+    def test_a_used_pair_holds_only_its_states(self):
+        pair = selection("V", "V")
+        contour_grid(DEFAULT_MODEL, [0.9, 1.0], [0.3, 0.6], pair)
+        assert estimate_beta(DEFAULT_MODEL, 1.0, pair, 54.86, (0.6, 0.78)) \
+            == estimate_beta(DEFAULT_MODEL, 1.0, VV, 54.86, (0.6, 0.78))
+        assert vars(pair) == {"psi_in": pair.psi_in, "psi_f": pair.psi_f}
+        for twin in (pickle.loads(pickle.dumps(pair)), copy.copy(pair)):
+            assert twin == pair and vars(twin) == vars(pair)
 
 
 # each sum rule holds within this many ulps of its scale: 1 for the
