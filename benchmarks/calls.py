@@ -12,12 +12,9 @@ checkout's ``src`` first on ``sys.path``, in an order that reverses from one
 round to the next.  A process builds the same seeded corpus (inversions on
 both branches of the V/V delay at omega = 1, and zero searches on the
 linear model and on a tabulated one), calls each function once on all of it
-to warm up, then times it in passes that alternate between two states:
-
-- ``warm``: the package's caches (the DFT tables; in older checkouts also
-  the constants a selection pair kept) hold what earlier calls left in them;
-- ``cold``: the caches are emptied, and each pair of the corpus drops any
-  kept constants, before every call, as in a fresh process.
+to warm up, then times it in passes over the corpus.  The package keeps
+nothing between calls, so the warm-up fills only the first-use state of
+the interpreter and numpy, which a fresh CLI process pays once.
 
 A series is the mean time per call of its fastest pass.  The script prints
 each series' median over the rounds per checkout, the ratio to the first
@@ -36,13 +33,6 @@ import sys
 from pathlib import Path
 
 PI = math.pi
-
-# (module, name) of each cache a checkout may hold, and the cached property in
-# which a SelectionPair of older checkouts kept its constants; a missing one is
-# skipped.  Checkouts whose pair holds its two states only have no such
-# property, but older ones still serve as the parent of a comparison.
-CACHES = (("fourier", "_tables"),)
-PAIR_CONSTANTS = "_constants"
 
 
 def _corpus(inversions, searches):
@@ -91,47 +81,28 @@ def _outcome(fun, args, kwargs):
 def child(inversions, searches, passes):
     """Time the corpus in this process and print one JSON line: per-call µs and a digest."""
     import hashlib
-    import importlib
     import time
 
     import weaklight as wl
 
-    caches = []
-    for module, name in CACHES:
-        cache = getattr(importlib.import_module(f"weaklight.{module}"), name, None)
-        if cache is not None:
-            caches.append(cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)
-
     calls = _corpus(inversions, searches)
-    pairs = {id(a): a for _, args, _ in calls for a in args if isinstance(a, wl.SelectionPair)}
-
-    def clear():
-        for c in caches:
-            c()
-        for pair in pairs.values():
-            vars(pair).pop(PAIR_CONSTANTS, None)
-
     digest = hashlib.sha256()
     for name, args, kwargs in calls:
         digest.update(_outcome(getattr(wl, name), args, kwargs).encode())
     best = {}
-    for p in range(passes):
+    for _ in range(passes):
         for name in ("estimate_beta", "find_singularities"):
             fun = getattr(wl, name)
             mine = [(args, kwargs) for n, args, kwargs in calls if n == name]
-            for state in (("warm", "cold") if p % 2 == 0 else ("cold", "warm")):
-                total = 0.0
-                for args, kwargs in mine:
-                    if state == "cold":
-                        clear()
-                    t0 = time.perf_counter()
-                    try:
-                        fun(*args, **kwargs)
-                    except Exception:  # a refusal is timed as a call
-                        pass
-                    total += time.perf_counter() - t0
-                key = f"{name} {state}"
-                best[key] = min(best.get(key, math.inf), total / len(mine) * 1e6)
+            total = 0.0
+            for args, kwargs in mine:
+                t0 = time.perf_counter()
+                try:
+                    fun(*args, **kwargs)
+                except Exception:  # a refusal is timed as a call
+                    pass
+                total += time.perf_counter() - t0
+            best[name] = min(best.get(name, math.inf), total / len(mine) * 1e6)
     print(json.dumps({"us_per_call": best, "digest": digest.hexdigest()}))
 
 

@@ -10,7 +10,6 @@ Conventions match the usual DFT pair: forward is
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,16 +19,16 @@ from .errors import _power_of_two
 __all__ = ["dft_forward", "dft_inverse"]
 
 
-# pulse runs use a handful of sizes; the bound keeps a long-lived process
-# that sweeps many sizes from holding every table it ever built
-_TABLES_CACHED = 8
-
-
-@lru_cache(maxsize=_TABLES_CACHED)
 def _tables(n):
-    # reversing the axes of arange(n) as a (2, 2, ..., 2) array reverses the
-    # bits of each index
-    perm = np.arange(n, dtype=np.intp).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
+    """The plan of one transform: the bit reversal of 0..n-1 and the twiddles."""
+    # by doubling: the reversals below 2m are those below m times two, for
+    # the even indices, and the same plus one for the odd ones
+    perm = np.zeros(n, dtype=np.intp)
+    m = 1
+    while m < n:
+        perm[:m] *= 2
+        np.add(perm[:m], 1, out=perm[m:2 * m])
+        m *= 2
     # the operations of the scalar -2.0 * math.pi * k / n, in its order; the
     # angles are built in the sine row and replaced by their sines, so both
     # tables share one allocation and no float temporary is made
@@ -38,8 +37,6 @@ def _tables(n):
     tw_im /= n
     np.cos(tw_im, out=tw_re)
     np.sin(tw_im, out=tw_im)
-    for arr in (perm, tw_re, tw_im):
-        arr.setflags(write=False)
     return perm, tw_re, tw_im
 
 
@@ -49,10 +46,13 @@ def dft_forward(z):
     if z.ndim != 1:
         raise ValueError("expected a one-dimensional array")
     n = _power_of_two("transform size", z.shape[0], 2)
+    # the plan is built per call and freed as soon as each part is done with
     perm, tw_re, tw_im = _tables(n)
     re = z.real[perm]
     im = z.imag[perm]
+    del perm
     backends.fft_butterflies(re, im, tw_re, tw_im)
+    del tw_re, tw_im
     out = np.empty(n, dtype=np.complex128)
     out.real = re
     out.imag = im

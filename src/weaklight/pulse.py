@@ -200,8 +200,11 @@ def gaussian_pulse(grid, sigma_omega):
             f"sigma_omega {sigma:g} (needs >= {12.0 * sigma:g})")
     nu = grid.omegas() - grid.omega_center
     amp = np.exp(-(nu * nu) / (4.0 * sigma * sigma))
+    del nu
     amp /= math.sqrt(float(np.sum(amp * amp)) * grid.delta_omega)
-    return PulseField._from_own_spectral(grid, amp.astype(np.complex128))
+    spectral = amp.astype(np.complex128)
+    del amp
+    return PulseField._from_own_spectral(grid, spectral)
 
 
 def peak_time(field):
@@ -247,7 +250,10 @@ def propagate(model, beta, pair, pulse):
     if bool(np.all(abs_t < SINGULAR_TOL)):
         raise PostselectionNull(
             "transfer function is null across the entire grid support")
-    out = PulseField._from_own_spectral(grid, t * pulse.spectral)
+    del abs_t
+    spectral = t * pulse.spectral
+    del t
+    out = PulseField._from_own_spectral(grid, spectral)
     try:
         predicted = group_delay(model, grid.omega_center, beta, pair)
     except PostselectionNull:

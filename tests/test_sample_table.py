@@ -242,7 +242,7 @@ class TestLibmTables:
         for bits in range(1, 21):
             n = 1 << bits
             angles = (np.arange(n // 2) * (-2.0 * PI) / n).tolist()
-            _, tw_re, tw_im = _tables.__wrapped__(n)
+            _, tw_re, tw_im = _tables(n)
             assert tw_re.tobytes() == np.fromiter(map(math.cos, angles), float).tobytes(), n
             assert tw_im.tobytes() == np.fromiter(map(math.sin, angles), float).tobytes(), n
 

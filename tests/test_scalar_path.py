@@ -378,6 +378,27 @@ class TestEstimateBetaMatchesScalarScan:
         assert_delay_sign_change(DEFAULT_MODEL, 1.0, pair, tau, beta)
         assert_same_outcome(DEFAULT_MODEL, 1.0, pair, tau, (0.3, 1.2))
 
+    def test_closed_form_falls_back(self):
+        circular = PolarizationState(math.sqrt(0.5), 1j * math.sqrt(0.5))
+        # (pair, omega, target, bracket, whether the scan lets estimate_beta
+        # reach the closed form); the scan refuses the first two brackets,
+        # since the delay has period pi in beta and a non-turning pair's is flat
+        cases = [
+            # a bracket of width pi
+            (VV, 1.0, 30.0, (0.1, 0.1 + PI), False),
+            # circular in and out: c = 1 and k1 = k2 = 0, the weights do not turn
+            (SelectionPair(circular, circular), 1.0, 30.0, (0.1, 1.2), False),
+            # a target one ulp above the delay's minimum at the bracket's low
+            # end, where the discriminant of the quadratic rounds negative
+            (VV, 1.2, 27.172731878814048, (0.9508615785592631, 1.2508615785592632), True),
+        ]
+        for pair, omega, tau, (lo, hi), reached in cases:
+            assert weakmeas._closed_form_seed(pair, phases(DEFAULT_MODEL, omega),
+                                              group_delays(DEFAULT_MODEL, omega),
+                                              tau, lo, hi) is None, (omega, tau)
+            kind, _ = assert_same_outcome(DEFAULT_MODEL, omega, pair, tau, (lo, hi))
+            assert (kind == "value") == reached, (omega, tau, kind)
+
     def test_equal_phases_make_the_closed_form_linear(self):
         # at omega 0 on DEFAULT_MODEL phi_te = phi_tm = 0, so u = 0 and the
         # quadratic in p1 has no square term
