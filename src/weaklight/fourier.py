@@ -46,7 +46,7 @@ def dft_forward(z):
     if z.ndim != 1:
         raise ValueError("expected a one-dimensional array")
     n = _power_of_two("transform size", z.shape[0], 2)
-    # the plan is built per call and freed as soon as each part is done with
+    # each part of the plan is freed once used, so that it does not raise the peak
     perm, tw_re, tw_im = _tables(n)
     re = z.real[perm]
     im = z.imag[perm]
