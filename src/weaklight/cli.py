@@ -5,10 +5,11 @@ Every output starts with a header comment holding the fully resolved command
 command reproduces the file byte for byte.  Exit codes: 0 success, 1 i/o,
 2 usage, 3 null postselection.
 
-The flag table ``_SUBCOMMANDS`` (with ``_MODEL_FLAGS`` for the linear model)
-is the single place where a subcommand's flags, their kinds, defaults and
-help text, and their order in the header are declared: the parser, the
-resolver, the plan attributes and the header tokens are all built from it.
+The table ``_SUBCOMMANDS`` (with ``_MODEL_FLAGS`` for the linear model) is
+the single place where a subcommand is declared: its help line, its flags
+with their kinds, defaults, help text and order in the header, its renderer
+and its output formats.  The parser, the resolver, the plan attributes, the
+header tokens, the --format checks and execute are all built from it.
 """
 
 import argparse
@@ -16,17 +17,19 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import _g17
 from .crystal import TAU_TE_DEFAULT, TAU_TM_DEFAULT, LinearDispersion, load_tabulated
 from .errors import PostselectionNull
-from .jones import basis_state, linear_state
+from .jones import _BASIS, basis_state, linear_state
 from .pulse import SpectralGrid, gaussian_pulse, propagate
 from .weakmeas import (
+    _COLUMNS,
     SelectionPair,
+    Singularity,
     contour_grid,
     estimate_beta,
     find_singularities,
@@ -36,9 +39,8 @@ from .weakmeas import (
 
 __all__ = ["parse", "execute", "main"]
 
-_SWEEP_COLUMNS = "omega,beta,re_t,im_t,abs_t,arg_t,group_delay,singular"
-_SINGULARITY_COLUMNS = "omega,beta,residual_abs_t"
-_JSON_SUBCOMMANDS = ("pulse", "estimate-beta")
+_SWEEP_COLUMNS = ",".join(_COLUMNS)
+_SINGULARITY_COLUMNS = ",".join(field.name for field in fields(Singularity))
 
 # sweep rows (or JSON array numbers) formatted per batch
 _BATCH_ROWS = 4096
@@ -52,7 +54,6 @@ _MAX_CELLS = 4_000_000                                    # omega count x beta c
 _MAX_INTEGER = {"samples": 1 << 20, "scan": 1_000_000}
 
 _DEG = math.pi / 180.0
-_BASIS_LABELS = ("V", "H", "D45", "A135")
 _REQUIRED = object()
 
 # The kind of a flag fixes its syntax, metavar and RunPlan attribute suffix;
@@ -66,41 +67,6 @@ _MODEL_FLAGS = [
     ("phi0-te", "number", 0.0, "TE phase offset (default 0)"),
     ("phi0-tm", "number", 0.0, "TM phase offset (default 0)"),
 ]
-
-# subcommand -> (help line, its own flags in header order as
-# (flag, kind, default, help)); grid defaults are (lo, hi, count)
-_SUBCOMMANDS = {
-    "contour": ("T over an (omega, beta) grid", [
-        ("omega", "grid", (0.5, 1.5, 101), "frequency grid (default 0.5:1.5:101)"),
-        ("beta", "angle-grid", (0.0, math.pi, 181), "angle grid (default 0:pi:181)"),
-    ]),
-    "spectrum": ("unwrapped phase vs frequency at fixed angle", [
-        ("omega", "grid", (0.1, 0.9, 161), "frequency grid (default 0.1:0.9:161)"),
-        ("beta", "angle", 0.0, "plate angle (default 0)"),
-    ]),
-    "angle-sweep": ("T and group delay vs angle at fixed frequency", [
-        ("omega", "number", 1.0, "frequency (default 1)"),
-        ("beta", "angle-grid", (0.0, 0.5 * math.pi, 181), "angle grid (default 0:pi/2:181)"),
-    ]),
-    "pulse": ("propagate a narrowband Gaussian pulse", [
-        ("omega", "number", 1.0, "carrier frequency (default 1)"),
-        ("span", "number", 0.64, "spectral window width (default 0.64)"),
-        ("samples", "integer", 4096, "grid size, power of two (default 4096)"),
-        ("sigma-omega", "number", 0.01, "spectral bandwidth (default 0.01)"),
-        ("beta", "angle", 0.0, "plate angle (default 0)"),
-    ]),
-    "singularities": ("locate transfer-function zeros", [
-        ("omega", "interval", (0.5, 1.5), "frequency window (default 0.5:1.5)"),
-        ("beta", "angle-interval", (0.0, math.pi), "angle window (default 0:pi)"),
-        ("scan", "integer", 101, "points on each 1-D root scan (default 101)"),
-        ("tol", "number", 1e-10, "residual |T| tolerance (default 1e-10)"),
-    ]),
-    "estimate-beta": ("invert the plate angle from a group delay", [
-        ("omega", "number", _REQUIRED, "frequency of the measurement (required)"),
-        ("tau", "number", _REQUIRED, "measured group delay (required)"),
-        ("bracket", "angle-interval", _REQUIRED, "angle bracket (required)"),
-    ]),
-}
 
 
 def _fmt(x):
@@ -135,7 +101,7 @@ def _build_parser(names):
                                 metavar="SUBCOMMAND")
     config_keys = {}
     for name in names:
-        help_line, flags = _SUBCOMMANDS[name]
+        help_line, flags, _, _ = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         keys = config_keys[name] = set()
 
@@ -150,10 +116,9 @@ def _build_parser(names):
             add(g, f"--{key}", metavar="X", help=text)
         add(g, "--dispersion-csv", metavar="PATH",
             help="tabulated dispersion CSV (overrides the linear model)")
-        add(g, "--psi-in", metavar="STATE",
-            help="pre-selection: V, H, D45, A135 or a linear angle")
-        add(g, "--psi-f", metavar="STATE",
-            help="post-selection: V, H, D45, A135 or a linear angle")
+        for key, role in ("psi-in", "pre"), ("psi-f", "post"):
+            add(g, f"--{key}", metavar="STATE",
+                help=f"{role}-selection: {', '.join(_BASIS)} or a linear angle")
         add(p, "--degrees", action="store_true",
             help="interpret input angles as degrees (output stays radians)")
         p.add_argument("--config", metavar="PATH",
@@ -271,7 +236,7 @@ class _Resolver:
     def state(self, key):
         """A selection state from a basis label or a linear angle, and its token."""
         value, _ = self.pick(key, "V")
-        if isinstance(value, str) and value in _BASIS_LABELS:
+        if isinstance(value, str) and value in _BASIS:
             return basis_state(value), value
         angle, token = self.resolve(key, "angle", value)
         return linear_state(angle), token
@@ -326,17 +291,19 @@ def parse(argv=None):
     pair_tokens = ["--psi-in", tok_in, "--psi-f", tok_f]
 
     sub = args.subcommand
-    fmt, _ = res.pick("format", "json" if sub == "pulse" else "csv")
+    _, flags, _, formats = _SUBCOMMANDS[sub]
+    fmt, _ = res.pick("format", formats[0])
     if fmt not in ("csv", "json"):
         parser.error(f"--format must be csv or json, got {fmt!r}")
-    if sub == "pulse" and fmt != "json":
-        parser.error("pulse output is json only")
-    if fmt == "json" and sub not in _JSON_SUBCOMMANDS:
-        parser.error(f"{sub} output is csv only; --format json applies to "
-                     f"{' and '.join(_JSON_SUBCOMMANDS)}")
+    if fmt not in formats:
+        message = f"{sub} output is {formats[0]} only"
+        if fmt == "json":
+            message += "; --format json applies to " + " and ".join(
+                name for name, row in _SUBCOMMANDS.items() if fmt in row[3])
+        parser.error(message)
     output = res.path("output")
 
-    values, sub_tokens = res.flags(_SUBCOMMANDS[sub][1])
+    values, sub_tokens = res.flags(flags)
     plan = RunPlan(subcommand=sub, model=model, pair=pair, output=output, fmt=fmt,
                    tokens=[sub] + model_tokens + pair_tokens + sub_tokens
                    + ["--format", fmt])
@@ -362,7 +329,7 @@ def _sweep_chunks(plan, table, arg_t=None):
     singular row, a T field whose value is NaN is left empty: the group delay
     there, and an unwrapped phase.
     """
-    yield f"# {_command_line(plan)}\n{_SWEEP_COLUMNS}\n"
+    yield _csv_document(plan, _SWEEP_COLUMNS, [])
     n, nb = table.singular.shape[0], table.shape[-1]
     columns = (table.re_t, table.im_t, table.abs_t,
                table.arg_t if arg_t is None else arg_t, table.group_delay)
@@ -484,7 +451,7 @@ def _angle_sweep(plan, model, pair):
 def _singularities(plan, model, pair):
     hits = find_singularities(model, plan.omega_interval, plan.beta_interval,
                               pair, scan=plan.scan, tol=plan.tol)
-    rows = [",".join(map(_fmt, (s.omega, s.beta, s.residual_abs_t))) for s in hits]
+    rows = [",".join(map(_fmt, astuple(s))) for s in hits]
     return [_csv_document(plan, _SINGULARITY_COLUMNS, rows)]
 
 
@@ -510,12 +477,7 @@ def _pulse(plan, model, pair):
         },
         "sigma_omega": plan.sigma_omega,
         "beta": plan.beta,
-        "report": {
-            "peak_shift": report.peak_shift,
-            "centroid_shift": report.centroid_shift,
-            "energy_transmission": report.energy_transmission,
-            "predicted_group_delay": report.predicted_group_delay,
-        },
+        "report": asdict(report),
         "times": _time_axis(grid),
         "input_intensity": _float_array(pulse_in.intensity),
         "output_intensity": _float_array(pulse_out.intensity),
@@ -523,12 +485,44 @@ def _pulse(plan, model, pair):
     return _json_chunks(doc)
 
 
-# subcommand -> renderer(plan, model, pair), which returns the output as text
-# chunks.  All that can fail runs in it, before execute opens the output, so a
-# failed run writes nothing; rows and float arrays are formatted lazily.
-_RENDERERS = {"contour": _contour, "spectrum": _spectrum, "angle-sweep": _angle_sweep,
-              "singularities": _singularities, "estimate-beta": _estimate_beta,
-              "pulse": _pulse}
+# subcommand -> (help line, its own flags in header order as
+# (flag, kind, default, help), renderer, output formats with the default
+# first); grid defaults are (lo, hi, count).  The renderer(plan, model, pair)
+# returns the output as text chunks.  All that can fail runs in it, before
+# execute opens the output, so a failed run writes nothing; rows and float
+# arrays are formatted lazily.
+_SUBCOMMANDS = {
+    "contour": ("T over an (omega, beta) grid", [
+        ("omega", "grid", (0.5, 1.5, 101), "frequency grid (default 0.5:1.5:101)"),
+        ("beta", "angle-grid", (0.0, math.pi, 181), "angle grid (default 0:pi:181)"),
+    ], _contour, ("csv",)),
+    "spectrum": ("unwrapped phase vs frequency at fixed angle", [
+        ("omega", "grid", (0.1, 0.9, 161), "frequency grid (default 0.1:0.9:161)"),
+        ("beta", "angle", 0.0, "plate angle (default 0)"),
+    ], _spectrum, ("csv",)),
+    "angle-sweep": ("T and group delay vs angle at fixed frequency", [
+        ("omega", "number", 1.0, "frequency (default 1)"),
+        ("beta", "angle-grid", (0.0, 0.5 * math.pi, 181), "angle grid (default 0:pi/2:181)"),
+    ], _angle_sweep, ("csv",)),
+    "pulse": ("propagate a narrowband Gaussian pulse", [
+        ("omega", "number", 1.0, "carrier frequency (default 1)"),
+        ("span", "number", 0.64, "spectral window width (default 0.64)"),
+        ("samples", "integer", 4096, "grid size, power of two (default 4096)"),
+        ("sigma-omega", "number", 0.01, "spectral bandwidth (default 0.01)"),
+        ("beta", "angle", 0.0, "plate angle (default 0)"),
+    ], _pulse, ("json",)),
+    "singularities": ("locate transfer-function zeros", [
+        ("omega", "interval", (0.5, 1.5), "frequency window (default 0.5:1.5)"),
+        ("beta", "angle-interval", (0.0, math.pi), "angle window (default 0:pi)"),
+        ("scan", "integer", 101, "points on each 1-D root scan (default 101)"),
+        ("tol", "number", 1e-10, "residual |T| tolerance (default 1e-10)"),
+    ], _singularities, ("csv",)),
+    "estimate-beta": ("invert the plate angle from a group delay", [
+        ("omega", "number", _REQUIRED, "frequency of the measurement (required)"),
+        ("tau", "number", _REQUIRED, "measured group delay (required)"),
+        ("bracket", "angle-interval", _REQUIRED, "angle bracket (required)"),
+    ], _estimate_beta, ("csv", "json")),
+}
 
 
 def _write(path, chunks):
@@ -542,7 +536,7 @@ def _write(path, chunks):
 def execute(plan):
     """Run a plan and write its output; returns the process exit status."""
     try:
-        chunks = _RENDERERS[plan.subcommand](plan, plan.model, plan.pair)
+        chunks = _SUBCOMMANDS[plan.subcommand][2](plan, plan.model, plan.pair)
     except PostselectionNull as exc:
         print(f"weaklight: null postselection: {exc}", file=sys.stderr)
         return 3

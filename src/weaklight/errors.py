@@ -30,6 +30,18 @@ def _finite(name, value):
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _finite_complex(name, value):
+    """``value`` as a finite complex, the complex counterpart of ``_finite``."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _ends(name, value):
     """The two ends of the range ``value`` as finite floats; a range is exactly a pair."""
     try:

@@ -10,7 +10,7 @@ so concurrent use needs no locking.
 import math
 from dataclasses import dataclass
 
-from .errors import _finite, _positive
+from .errors import _finite, _finite_complex, _positive
 
 __all__ = [
     "PolarizationState",
@@ -29,18 +29,6 @@ SQRT_HALF = math.sqrt(0.5)
 
 _NORM_TOL = 1e-12      # |norm^2 - 1| accepted as already normalized
 _RENORM_LIMIT = 1e-6   # |norm - 1| beyond this is rejected, not repaired
-
-
-def _finite_complex(name, value):
-    """``value`` as a finite complex, the complex counterpart of ``errors._finite``."""
-    try:
-        z = complex(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    else:
-        if math.isfinite(z.real) and math.isfinite(z.imag):
-            return z
-    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,7 @@ def basis_state(label):
         a1, a2 = _BASIS[label]
     except (KeyError, TypeError):
         raise ValueError(
-            f"unknown basis label {label!r}; expected one of V, H, D45, A135") from None
+            f"unknown basis label {label!r}; expected one of {', '.join(_BASIS)}") from None
     return PolarizationState(complex(a1), complex(a2))
 
 

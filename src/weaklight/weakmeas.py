@@ -399,9 +399,10 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
     """Group delay at one point, in normalized time units.
 
     ``method="analytic"`` evaluates the weak-value expression exactly.
-    ``method="numeric"`` central-differences arg T with step ``h`` after
-    locally unwrapping the three stencil phases, mirroring how the delay is
-    extracted from measured phase spectra.
+    ``method="numeric"`` central-differences arg T over omega -+ h as they
+    round (a step lost to rounding is refused), after locally unwrapping the
+    three stencil phases, mirroring how the delay is extracted from measured
+    phase spectra.
     """
     if method == "analytic":
         (tre, tim), (nre, nim) = _t_and_numerator(model, omega, beta, pair)
@@ -409,12 +410,16 @@ def group_delay(model, omega, beta, pair, method="analytic", h=NUMERIC_H):
     if method == "numeric":
         h = _positive("step h", h)
         stencil = np.empty(3)
-        for i, w in enumerate((omega - h, omega, omega + h)):
+        nodes = (omega - h, omega, omega + h)
+        for i, w in enumerate(nodes):
             t = transfer(model, w, beta, pair)
             _null_check(t.real, t.imag, w, beta)
             stencil[i] = math.atan2(t.imag, t.real)
+        width = nodes[2] - nodes[0]
+        if width == 0.0:
+            raise ValueError(f"step h={h!r} is lost to rounding at omega={omega!r}")
         ph = unwrap(stencil)
-        return (ph[2] - ph[0]) / (2.0 * h)
+        return (ph[2] - ph[0]) / width
     raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'numeric'")
 
 

@@ -1,5 +1,7 @@
-"""The in-process call timer under benchmarks/ runs, so that it cannot rot unseen."""
+"""The scripts under benchmarks/ run, so that they cannot rot unseen."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,17 @@ def test_calls_times_every_series_on_this_checkout():
         assert float(row[1]) > 0.0 and float(row[2]) > 0.0
         assert sum(map(int, row[4].split("/"))) == 2
     assert lines[-1] == "results and messages: identical across checkouts and rounds"
+
+
+def test_record_digests_one_case_on_this_checkout(tmp_path):
+    spec = importlib.util.spec_from_file_location("record", ROOT / "benchmarks" / "record.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    recorder.CASES = {"estimate-beta": recorder.CASES["estimate-beta"]}
+    out = tmp_path / "bench.json"
+    assert recorder.main(["--out", str(out), "--repeat", "1", f"a={ROOT}", f"b={ROOT}"]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["outputs_match"] == {"estimate-beta": True}
+    runs = doc["runs"]
+    assert [run["checkout"] for run in runs] == ["a", "b"]
+    assert runs[0]["sha256"] == runs[1]["sha256"]

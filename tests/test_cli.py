@@ -148,9 +148,6 @@ class TestParse:
 
 
 class TestExecute:
-    def test_every_subcommand_has_a_renderer(self):
-        assert cli._RENDERERS.keys() == cli._SUBCOMMANDS.keys()
-
     def test_contour_row_count(self, tmp_path):
         out = tmp_path / "grid.csv"
         plan = parse(["contour", "--omega", "0.5:1.5:11", "--beta", "0:3.14:7",

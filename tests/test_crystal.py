@@ -294,6 +294,11 @@ class TestRefineRoot:
         assert abs(got - root) <= math.ulp(root)
         assert len(calls) <= most
 
+    def test_infinite_end_values_bisect(self):
+        # the false-position step fa / (fa - fb) is NaN with both ends
+        # infinite, so the first step bisects, to 0.0
+        assert _refine_root(lambda x: x - 0.25, -1.0, 1.0, -math.inf, math.inf) == 0.25
+
 
 class TestEvolutionOperator:
     def test_phase_wrap_at_one(self):

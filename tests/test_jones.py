@@ -106,6 +106,11 @@ class TestRotation:
         with pytest.raises(ValueError):
             rotation(math.nan)
 
+    def test_product_with_a_non_operator_refused(self):
+        # __matmul__ returns NotImplemented, so Python raises the TypeError
+        with pytest.raises(TypeError):
+            rotation(0.3) @ 2
+
 
 class TestInner:
     def test_self_overlap(self):

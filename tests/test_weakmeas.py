@@ -624,6 +624,27 @@ class TestFindSingularities:
             lines.setdefault(round(h.omega), set()).add(h.omega)
         assert lines == {1: {1.0000000000000004}, 3: {3.0000000000000027}}
 
+    def test_opposite_weights_share_one_scan(self, monkeypatch):
+        # a nearly crossed pair: the gap is within rounding of zero on the scan
+        # nodes next to its roots, where p1 and p2 are real with opposite
+        # signs, so arg p1 - arg p2 reduces to -pi or pi by the signs of their
+        # zero imaginary parts; -pi is folded onto pi, and one scan serves both
+        calls = []
+        half_wave_roots = weakmeas._half_wave_roots
+
+        def recording(model, omegas, phase_te, phase_tm, offset):
+            calls.append(offset)
+            return half_wave_roots(model, omegas, phase_te, phase_tm, offset)
+
+        monkeypatch.setattr(weakmeas, "_half_wave_roots", recording)
+        pair = selection(0.3, 0.3 + 0.5 * PI + 1e-14)
+        find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), pair)
+        nodes = np.linspace(0.0, PI, 101)
+        raw = {math.remainder(cmath.phase(p1) - cmath.phase(p2), 2.0 * PI)
+               for p1, p2 in (complex_weights(b, pair) for b in nodes[[10, 60]])}
+        assert raw == {-PI, PI}
+        assert calls == [PI]
+
 
 def complex_weights(beta, pair):
     """The weights (p1, p2) at beta as complex numbers."""
@@ -881,6 +902,13 @@ class TestArgumentChecks:
                   lambda h=h: group_delay(DEFAULT_MODEL, 1.0, 0.3, VV, "numeric", h),
                   "step h must be positive and finite")
           for h in (0.0, -1e-5, math.inf, math.nan)),
+        # a step lost to rounding leaves a stencil of zero width
+        _raises("numeric-delay-omega=2e11",
+                lambda: group_delay(DEFAULT_MODEL, 2e11, 0.3, VV, "numeric"),
+                re.escape("step h=1e-05 is lost to rounding at omega=200000000000.0")),
+        _raises("numeric-delay-h=1e-17",
+                lambda: group_delay(DEFAULT_MODEL, 1.0, 0.3, VV, "numeric", 1e-17),
+                re.escape("step h=1e-17 is lost to rounding at omega=1.0")),
         _raises("singularities-scan-1",
                 lambda: find_singularities(DEFAULT_MODEL, (0.5, 1.5), (0.0, PI), VV, scan=1),
                 "scan density must be at least 2"),
