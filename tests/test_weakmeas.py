@@ -330,6 +330,14 @@ class TestGroupDelay:
                              h=5e-6) - ga)
         assert 3.5 <= e1 / e2 <= 4.5
 
+    def test_numeric_divides_by_the_rounded_stencil(self):
+        # the doubles next to 1e11 are 2**-16 apart, so omega -+ h round to
+        # the same two nodes for both steps, and the delay is the same
+        assert math.ulp(1e11) == 2.0 ** -16
+        delays = {group_delay(DEFAULT_MODEL, 1e11, 0.3, VV, method="numeric", h=h)
+                  for h in (1e-5, 2e-5)}
+        assert len(delays) == 1
+
     def test_eigenstate_reduction(self):
         # aligning both selections with the rotated TE axis collapses the
         # weak value onto the eigen-delay
